@@ -46,33 +46,30 @@ sweep flags:
   one) runs have failed.
 * ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
   same manifest resumes an interrupted sweep.
-* ``--checkpoint-dir DIR`` — periodic simulator snapshots into DIR
-  (equivalent to ``REPRO_CHECKPOINT_DIR=DIR``) in this process and all
-  sweep workers; a crashed or interrupted run re-invoked with the same
-  directory resumes mid-simulation, bit-identically.
-* ``--checkpoint-interval N`` — cycles between snapshots (equivalent to
-  ``REPRO_CHECKPOINT_INTERVAL=N``; default 50000).
-* ``--invariants`` — enable the simulation integrity checker
-  (equivalent to ``REPRO_INVARIANTS=1``) in this process and all sweep
-  workers.
+* ``--checkpoint-dir DIR`` — periodic simulator snapshots into DIR for
+  every run, inline or in a sweep worker; a crashed or interrupted run
+  re-invoked with the same directory resumes mid-simulation,
+  bit-identically.
+* ``--checkpoint-interval N`` — cycles between snapshots (default
+  50000).
+* ``--invariants`` — enable the simulation integrity checker for every
+  run, inline or in a sweep worker.
 * ``--profile DIR`` — write a per-run performance profile JSON
   (wall-clock phase timers + per-component activity) into DIR for every
-  run actually executed, in this process and all sweep workers
-  (equivalent to ``REPRO_PROFILE_DIR=DIR``).
+  run actually executed, inline or in a sweep worker.
 * ``--metrics-dir DIR`` — write a per-run windowed-metrics JSON
   time-series (IPC, MRQ/DRAM/interconnect occupancy and traffic, the
   prefetch ledger, throttle state) into DIR for every run actually
-  executed, in this process and all sweep workers (equivalent to
-  ``REPRO_METRICS_DIR=DIR``); render with ``python -m repro report``.
+  executed, inline or in a sweep worker; render with
+  ``python -m repro report``.
 * ``--metrics-interval N`` — nominal simulated cycles per metrics
-  window (equivalent to ``REPRO_METRICS_INTERVAL=N``; default 1000).
+  window (default 1000).
 * ``--heartbeat-interval S`` — worker liveness heartbeats every S
   seconds; pooled sweeps kill and requeue a heartbeat-silent (wedged)
   run well before its full ``--timeout`` deadline.
 * ``--memory-budget MB`` — per-run peak-RSS budget, self-enforced by
-  workers (equivalent to ``REPRO_MEMORY_BUDGET_MB=MB``); an over-budget
-  run checkpoints and fails structurally instead of taking the host
-  down.
+  every run; an over-budget run checkpoints and fails structurally
+  instead of taking the host down.
 * ``--quarantine-dir DIR`` — poison-spec registry: specs that crash or
   wedge workers on every attempt are quarantined into DIR and skipped
   by later sweeps until their report file is deleted.
@@ -83,6 +80,10 @@ sweep flags:
   denied a claim polls the cache for the other process's result, and
   orphaned leases (SIGKILLed claimant) are stolen after a grace
   period.
+
+The checkpoint, invariant, profile, metrics and memory-budget flags
+travel to every run in one :class:`~repro.harness.sweep.RunOptions`
+object; none of them touches the process environment.
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
@@ -115,18 +116,23 @@ from repro.harness.runner import (
     make_spec,
     run_spec,
 )
-from repro.harness.sweep import SweepInterrupted
-from repro.sim.checkpoint import CHECKPOINT_DIR_ENV, CHECKPOINT_INTERVAL_ENV
-from repro.sim.invariants import INVARIANTS_ENV
-from repro.sim.profiling import PROFILE_DIR_ENV
+from repro.harness.sweep import RunOptions, SweepInterrupted
+from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.sim.telemetry import (
-    METRICS_DIR_ENV,
-    METRICS_INTERVAL_ENV,
+    DEFAULT_METRICS_INTERVAL,
     to_chrome_trace,
     validate_metrics_document,
 )
 from repro.trace.benchmarks import COMPUTE_BENCHMARKS, MEMORY_BENCHMARKS
 from repro.trace.swp import SCHEMES as SOFTWARE_SCHEMES
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for cycle intervals: a positive integer."""
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -165,36 +171,33 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="write periodic simulator snapshots into DIR "
-             "(REPRO_CHECKPOINT_DIR=DIR) in this process and all sweep "
-             "workers; re-invoking with the same DIR resumes interrupted "
-             "runs mid-simulation",
+        help="write periodic simulator snapshots of every run into DIR; "
+             "re-invoking with the same DIR resumes interrupted runs "
+             "mid-simulation",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
-        help="cycles between simulator snapshots "
-             "(REPRO_CHECKPOINT_INTERVAL=N; default: 50000)",
+        "--checkpoint-interval", type=_positive_int,
+        default=DEFAULT_CHECKPOINT_INTERVAL, metavar="N",
+        help="cycles between simulator snapshots (default: %(default)s)",
     )
     parser.add_argument(
         "--invariants", action="store_true",
-        help="enable simulation invariant checking (REPRO_INVARIANTS=1) "
-             "in this process and all sweep workers",
+        help="enable simulation invariant checking for every run",
     )
     parser.add_argument(
         "--profile", default=None, metavar="DIR",
-        help="write a per-run performance profile JSON into DIR "
-             "(REPRO_PROFILE_DIR=DIR) in this process and all sweep workers",
+        help="write a per-run performance profile JSON into DIR",
     )
     parser.add_argument(
         "--metrics-dir", default=None, metavar="DIR",
-        help="write a per-run windowed-metrics JSON time-series into DIR "
-             "(REPRO_METRICS_DIR=DIR) in this process and all sweep "
-             "workers; render with 'python -m repro report'",
+        help="write a per-run windowed-metrics JSON time-series into DIR; "
+             "render with 'python -m repro report'",
     )
     parser.add_argument(
-        "--metrics-interval", type=int, default=None, metavar="N",
+        "--metrics-interval", type=_positive_int,
+        default=DEFAULT_METRICS_INTERVAL, metavar="N",
         help="nominal simulated cycles per metrics window "
-             "(REPRO_METRICS_INTERVAL=N; default: 1000)",
+             "(default: %(default)s)",
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="S",
@@ -204,9 +207,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--memory-budget", type=float, default=None, metavar="MB",
-        help="per-run peak-RSS budget in MB, self-enforced by workers "
-             "(REPRO_MEMORY_BUDGET_MB=MB); an over-budget run checkpoints "
-             "and fails structurally",
+        help="per-run peak-RSS budget in MB, self-enforced by every run; "
+             "an over-budget run checkpoints and fails structurally",
     )
     parser.add_argument(
         "--quarantine-dir", default=None, metavar="DIR",
@@ -224,20 +226,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
 
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     """Build the :class:`ExperimentRunner` shared by the sweep commands."""
-    if args.invariants:
-        # Exported (not passed) so forked/spawned sweep workers inherit it.
-        os.environ[INVARIANTS_ENV] = "1"
-    if args.profile:
-        os.environ[PROFILE_DIR_ENV] = args.profile
-    if args.metrics_dir:
-        os.environ[METRICS_DIR_ENV] = args.metrics_dir
-    if args.metrics_interval is not None:
-        os.environ[METRICS_INTERVAL_ENV] = str(args.metrics_interval)
-    if args.checkpoint_dir:
-        os.environ[CHECKPOINT_DIR_ENV] = args.checkpoint_dir
-    if args.checkpoint_interval is not None:
-        os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
-    return ExperimentRunner(
+    runner = ExperimentRunner(
         scale=args.scale,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
@@ -250,9 +239,18 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         manifest=args.manifest,
         heartbeat_interval=args.heartbeat_interval,
         quarantine_dir=args.quarantine_dir,
-        memory_budget_mb=args.memory_budget,
         coordinate=False if args.no_coordinate else None,
     )
+    runner.engine.options = RunOptions(
+        invariants=args.invariants,
+        profile_dir=args.profile,
+        metrics_dir=args.metrics_dir,
+        metrics_interval=args.metrics_interval,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval,
+        memory_budget_mb=args.memory_budget,
+    )
+    return runner
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -484,7 +482,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # (bypassing the result cache, which would short-circuit it) so
         # the snapshot at --resume-from is actually consumed.
         spec = make_spec(args.benchmark, scale=args.scale, **variant)
-        result = run_spec(spec, checkpoint_path=args.resume_from)
+        result = run_spec(
+            spec, checkpoint_path=args.resume_from,
+            options=runner.engine.options,
+        )
         baseline = runner.run(args.benchmark)
     else:
         runner.warm([{"benchmark": args.benchmark},

@@ -53,8 +53,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.harness import supervise
 from repro.harness.coordinate import LEASE_SCHEMA, pid_alive
 from repro.harness.fsck import FsckReport, audit
-from repro.harness.sweep import ResultCache, fingerprint
-from repro.sim.checkpoint import CHECKPOINT_DIR_ENV, CHECKPOINT_INTERVAL_ENV
+from repro.harness.sweep import ResultCache, RunOptions, fingerprint
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
 
@@ -98,7 +97,7 @@ def campaign_specs(scale: float = 0.05) -> List:
     ]
 
 
-def paced_worker(spec) -> SimStats:
+def paced_worker(spec, options: RunOptions) -> SimStats:
     """Sweep-worker entry that idles :data:`PACE_ENV` seconds, then runs.
 
     The idle is sliced into 20 ms sleeps so SIGTERM still drains
@@ -116,7 +115,7 @@ def paced_worker(spec) -> SimStats:
         if supervise.shutdown_requested():
             break
         time.sleep(0.02)
-    return run_spec(spec).stats
+    return run_spec(spec, options=options).stats
 
 
 def _install_enospc_shim(flag_path: str) -> None:
@@ -144,8 +143,9 @@ def _install_enospc_shim(flag_path: str) -> None:
 def child_main(config: Dict) -> int:
     """Entry point of one chaos sweep child (its own process group).
 
-    Runs the campaign grid through a coordinated, supervised, pooled
-    engine against the shared cache named in ``config``.  Exit status:
+    Runs the campaign grid through a coordinated, supervised,
+    checkpointing, pooled engine against the shared cache named in
+    ``config``.  Exit status:
     0 when every grid spec ended in a successful result, 130 on a
     graceful shutdown, 1 otherwise.  Deliberately *no* quarantine
     registry: a spec repeatedly murdered by the campaign must stay
@@ -169,6 +169,10 @@ def child_main(config: Dict) -> int:
         lease_grace=config.get("lease_grace", 2.0),
         failure_report_dir=config.get("failure_report_dir"),
         manifest=config.get("manifest"),
+    )
+    engine.options = RunOptions(
+        checkpoint_dir=config.get("checkpoint_dir"),
+        checkpoint_interval=config.get("checkpoint_interval", 2000),
     )
     try:
         outcomes = engine.run(specs)
@@ -490,16 +494,12 @@ def run_campaign(
     import repro
 
     src_root = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    # Children must use the campaign cache, never $REPRO_CACHE_DIR.
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CACHE_DIR"}
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env[supervise.HEARTBEAT_DIR_ENV] = str(heartbeat_dir)
-    env[supervise.HEARTBEAT_INTERVAL_ENV] = "0.2"
-    env[CHECKPOINT_DIR_ENV] = str(checkpoint_dir)
-    env[CHECKPOINT_INTERVAL_ENV] = "2000"
     env[PACE_ENV] = str(max(0.0, pace))
-    env.pop("REPRO_CACHE_DIR", None)  # children must use the campaign cache
 
     config = {
         "cache_dir": str(cache_dir),
@@ -507,6 +507,8 @@ def run_campaign(
         "scale": scale,
         "heartbeat_interval": 0.2,
         "heartbeat_dir": str(heartbeat_dir),
+        "checkpoint_dir": str(checkpoint_dir),
+        "checkpoint_interval": 2000,
         "lease_grace": lease_grace,
         "failure_report_dir": str(report_dir),
         "enospc_flag": str(flag),

@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
@@ -40,6 +39,7 @@ from repro.harness.sweep import (
     Outcome,
     ProgressReporter,
     RunFailure,
+    RunOptions,
     RunSpec,
     SweepEngine,
     build_result_cache,
@@ -47,20 +47,14 @@ from repro.harness.sweep import (
 )
 from repro.sim.checkpoint import (
     attach_checkpointing,
-    checkpoint_dir_from_env,
-    checkpoint_interval_from_env,
     load_checkpoint,
     restore_simulator,
 )
 from repro.sim.config import GpuConfig, ThrottleConfig, baseline_config
 from repro.sim.errors import CheckpointError, write_failure_report
 from repro.sim.gpu import GpuSimulator, SimulationResult
-from repro.sim.profiling import SimProfiler, profile_dir_from_env
-from repro.sim.telemetry import (
-    MetricsRecorder,
-    metrics_dir_from_env,
-    metrics_interval_from_env,
-)
+from repro.sim.profiling import SimProfiler
+from repro.sim.telemetry import MetricsRecorder
 from repro.trace.benchmarks import get_benchmark
 from repro.trace.kernels import KernelSpec
 from repro.trace.swp import SCHEMES, SoftwarePrefetchConfig
@@ -274,9 +268,9 @@ def _simulate(
     snapshot once the run completes (a finished run needs no resume
     point, and a stale snapshot must not shadow a future re-run).
 
-    ``invariants`` overrides the ``$REPRO_INVARIANTS`` default; the
-    differential harness forces it on so every oracle run is also
-    machine-checked.
+    ``invariants`` overrides the simulator's ``$REPRO_INVARIANTS``
+    default; the differential harness forces it on so every oracle run
+    is also machine-checked.
 
     ``sentinel`` attaches a :class:`repro.harness.supervise.RunSentinel`
     to the run loop (heartbeats, memory budget, graceful shutdown); it
@@ -372,6 +366,7 @@ def run_spec(
     checkpoint_interval: Optional[int] = None,
     metrics_path: Union[str, Path, None] = None,
     metrics_interval: Optional[int] = None,
+    options: RunOptions = RunOptions(),
 ) -> SimulationResult:
     """Execute one fully-normalized :class:`RunSpec`.
 
@@ -387,65 +382,78 @@ def run_spec(
         strict: Raise on truncation instead of returning partial stats.
         profile_path: Write a :class:`~repro.sim.profiling.SimProfiler`
             JSON document here after the run.  ``None`` (default) defers
-            to ``$REPRO_PROFILE_DIR``: when that names a directory, the
-            profile lands there as ``<benchmark>-<fingerprint[:12]>.json``
-            (the sweep engine's cache key prefix, so profiles and cached
-            results correlate).  Profiling never changes the simulated
+            to ``options.profile_dir``: when set, the profile lands there
+            as ``<benchmark>-<fingerprint[:12]>.json`` (the sweep
+            engine's cache key prefix, so profiles and cached results
+            correlate).  Profiling never changes the simulated
             statistics — the determinism suite asserts this.
         checkpoint_path: Simulator snapshot location (see
             :mod:`repro.sim.checkpoint`).  When the file holds a valid
             snapshot of *this* spec the run resumes from it
             (bit-identically); either way the run re-snapshots there
             periodically and removes the file on completion.  ``None``
-            (default) defers to ``$REPRO_CHECKPOINT_DIR`` via
+            (default) defers to ``options.checkpoint_dir`` via
             :func:`checkpoint_path_for`.  A corrupt or mismatched
             snapshot is reported (``<path>.failure.json``), discarded,
             and the run cold-starts.  Checkpointing never changes the
             simulated statistics — the checkpoint suite asserts this.
         checkpoint_interval: Cycles between auto-snapshots; ``None``
-            defers to ``$REPRO_CHECKPOINT_INTERVAL`` (default
-            :data:`~repro.sim.checkpoint.DEFAULT_CHECKPOINT_INTERVAL`).
+            defers to ``options.checkpoint_interval``.
         metrics_path: Write a
             :class:`~repro.sim.telemetry.MetricsRecorder` windowed
             metrics JSON document here after the run.  ``None``
-            (default) defers to ``$REPRO_METRICS_DIR``: when that names
-            a directory, the document lands there via
+            (default) defers to ``options.metrics_dir`` via
             :func:`metrics_path_for`.  Telemetry never changes the
             simulated statistics — the telemetry suite asserts this.
         metrics_interval: Nominal cycles per metrics window; ``None``
-            defers to ``$REPRO_METRICS_INTERVAL`` (default
-            :data:`~repro.sim.telemetry.DEFAULT_METRICS_INTERVAL`).
+            defers to ``options.metrics_interval``.
+        options: The sweep's :class:`~repro.harness.sweep.RunOptions`
+            (observers, checkpoints, invariants, heartbeats, memory
+            budget).  The default (immutable) instance runs with none of
+            them.
     """
     kernel = get_benchmark(spec.benchmark, scale=spec.scale)
     builder = HARDWARE_SCHEMES[spec.hardware]
     key = fingerprint(spec)
-    if profile_path is None:
-        profile_dir = profile_dir_from_env()
-        if profile_dir is not None:
-            profile_path = profile_dir / f"{spec.benchmark}-{key[:12]}.json"
+    if profile_path is None and options.profile_dir is not None:
+        profile_path = (
+            Path(options.profile_dir) / f"{spec.benchmark}-{key[:12]}.json"
+        )
     profiler = SimProfiler() if profile_path is not None else None
-    if metrics_path is None:
-        metrics_dir = metrics_dir_from_env()
-        if metrics_dir is not None:
-            metrics_path = metrics_path_for(spec, metrics_dir)
+    if metrics_path is None and options.metrics_dir is not None:
+        metrics_path = metrics_path_for(spec, options.metrics_dir)
     recorder: Optional[MetricsRecorder] = None
     if metrics_path is not None:
         if metrics_interval is None:
-            metrics_interval = metrics_interval_from_env()
+            metrics_interval = options.metrics_interval
         recorder = MetricsRecorder(interval=metrics_interval)
         recorder.benchmark = spec.benchmark
         recorder.fingerprint = key
-    if checkpoint_path is None:
-        checkpoint_dir = checkpoint_dir_from_env()
-        if checkpoint_dir is not None:
-            checkpoint_path = checkpoint_path_for(spec, checkpoint_dir)
+    if checkpoint_path is None and options.checkpoint_dir is not None:
+        checkpoint_path = checkpoint_path_for(spec, options.checkpoint_dir)
     if checkpoint_interval is None:
-        checkpoint_interval = checkpoint_interval_from_env()
+        checkpoint_interval = options.checkpoint_interval
     # The sentinel is built before trace generation so its first
     # heartbeat (which records this worker's pid) lands immediately —
     # the supervisor must be able to reclaim a worker that wedges before
-    # its simulation ever starts.
-    sentinel = supervise.sentinel_from_env(spec.benchmark, key)
+    # its simulation ever starts.  Without heartbeats or a budget it
+    # still performs the shutdown check that lets a run checkpoint and
+    # bow out on SIGTERM.
+    heartbeat = None
+    if options.heartbeat_dir is not None:
+        heartbeat = supervise.HeartbeatWriter(
+            supervise.heartbeat_path_for(
+                spec.benchmark, key, options.heartbeat_dir
+            ),
+            options.heartbeat_interval,
+        )
+    budget_mb = options.memory_budget_mb
+    sentinel = supervise.RunSentinel(
+        heartbeat=heartbeat,
+        memory_budget_kb=(
+            int(budget_mb * 1024) if budget_mb and budget_mb > 0 else None
+        ),
+    )
     result = _simulate(
         kernel, spec.software, builder, spec.distance, spec.degree,
         spec.config, spec.throttle, spec.perfect_memory, strict=strict,
@@ -454,6 +462,7 @@ def run_spec(
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
         checkpoint_tag=key,
+        invariants=options.invariants or None,
         sentinel=sentinel,
     )
     sentinel.close()
@@ -564,9 +573,9 @@ class ExperimentRunner:
             or wedge workers on every attempt are quarantined there and
             skipped by later sweeps.
         memory_budget_mb: Per-run peak-RSS budget in MB, enforced by
-            worker self-monitoring (exported as
-            ``$REPRO_MEMORY_BUDGET_MB`` so pooled workers inherit it); a
-            run over budget checkpoints and fails structurally with
+            worker self-monitoring (carried to every worker in the
+            engine's :class:`~repro.harness.sweep.RunOptions`); a run
+            over budget checkpoints and fails structurally with
             :class:`~repro.sim.errors.MemoryBudgetExceeded`.
         coordinate: Work-claim lease coordination with concurrent sweeps
             sharing the cache directory (see
@@ -601,10 +610,6 @@ class ExperimentRunner:
         self.scale = scale
         if fail_fast:
             max_failures = 1 if max_failures is None else min(1, max_failures)
-        if memory_budget_mb is not None:
-            # Exported (like the checkpoint/profile knobs) so forked and
-            # spawned pool workers inherit the budget.
-            os.environ[supervise.MEMORY_BUDGET_ENV] = str(memory_budget_mb)
         self.engine = SweepEngine(
             cache=build_result_cache(cache_dir, use_cache),
             jobs=jobs,
@@ -619,6 +624,7 @@ class ExperimentRunner:
             coordinate=coordinate,
             lease_grace=lease_grace,
         )
+        self.engine.options = RunOptions(memory_budget_mb=memory_budget_mb)
         self._cache: Dict[str, SimulationResult] = {}
 
     def _spec(

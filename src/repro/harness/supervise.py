@@ -55,18 +55,6 @@ from typing import Dict, Optional, Set, Union
 from repro.sim.checkpoint import atomic_write_json
 from repro.sim.errors import MemoryBudgetExceeded, WorkerInterrupted
 
-#: Directory the per-run heartbeat files are written into.  Exported by
-#: the engine before it creates the worker pool (the same pattern as
-#: ``$REPRO_CHECKPOINT_DIR``), so forked/spawned workers inherit it.
-HEARTBEAT_DIR_ENV = "REPRO_HEARTBEAT_DIR"
-
-#: Minimum seconds between heartbeat writes (wall-clock gate).
-HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_INTERVAL"
-
-#: Per-run peak-RSS budget in megabytes, enforced by worker
-#: self-monitoring (:class:`RunSentinel`).
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET_MB"
-
 #: Heartbeat record format version.
 HEARTBEAT_SCHEMA = 1
 
@@ -82,37 +70,6 @@ SUPERVISION_HOOK_CYCLES = 1000
 #: A run whose heartbeat is older than ``interval * stall_grace`` (with
 #: this floor, covering worker startup and trace generation) is wedged.
 WEDGE_GRACE_FLOOR = 2.0
-
-
-def heartbeat_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_HEARTBEAT_DIR``, or None when unset."""
-    value = os.environ.get(HEARTBEAT_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def heartbeat_interval_from_env() -> float:
-    """Heartbeat write interval from ``$REPRO_HEARTBEAT_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_HEARTBEAT_INTERVAL` when unset or
-    unparsable — a bad value inherited through the environment must not
-    kill a worker.
-    """
-    value = os.environ.get(HEARTBEAT_INTERVAL_ENV, "").strip()
-    try:
-        interval = float(value)
-    except ValueError:
-        return DEFAULT_HEARTBEAT_INTERVAL
-    return interval if interval >= 0 else DEFAULT_HEARTBEAT_INTERVAL
-
-
-def memory_budget_kb_from_env() -> Optional[int]:
-    """Per-run peak-RSS budget in KB from ``$REPRO_MEMORY_BUDGET_MB``."""
-    value = os.environ.get(MEMORY_BUDGET_ENV, "").strip()
-    try:
-        budget_mb = float(value)
-    except ValueError:
-        return None
-    return int(budget_mb * 1024) if budget_mb > 0 else None
 
 
 def heartbeat_path_for(
@@ -356,27 +313,6 @@ class RunSentinel:
         """Tear down after a successful run (removes the heartbeat)."""
         if self.heartbeat is not None:
             self.heartbeat.close()
-
-
-def sentinel_from_env(benchmark: str, key: str) -> RunSentinel:
-    """Build the worker-side sentinel for one run from the environment.
-
-    Heartbeats are emitted when ``$REPRO_HEARTBEAT_DIR`` names a
-    directory (the engine exports it before creating the pool); the
-    memory budget comes from ``$REPRO_MEMORY_BUDGET_MB``.  With neither
-    set, the sentinel still performs the shutdown check — that is what
-    lets an inline run checkpoint and bow out on SIGTERM.
-    """
-    heartbeat: Optional[HeartbeatWriter] = None
-    directory = heartbeat_dir_from_env()
-    if directory is not None:
-        heartbeat = HeartbeatWriter(
-            heartbeat_path_for(benchmark, key, directory),
-            heartbeat_interval_from_env(),
-        )
-    return RunSentinel(
-        heartbeat=heartbeat, memory_budget_kb=memory_budget_kb_from_env()
-    )
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,8 @@ Fault-tolerance model (the integrity layer of the harness):
   every completed run is journaled (append-only JSONL); an interrupted
   sweep re-invoked with the same manifest resumes from partial progress
   even without a result cache.
-* **Mid-run crash recovery.**  With ``$REPRO_CHECKPOINT_DIR`` exported
-  (see :mod:`repro.sim.checkpoint`), every worker snapshots its
+* **Mid-run crash recovery.**  With :attr:`RunOptions.checkpoint_dir`
+  set (see :mod:`repro.sim.checkpoint`), every worker snapshots its
   simulator periodically and :func:`repro.harness.runner.run_spec`
   resumes from the newest valid snapshot, so a crashed or deadline-hit
   worker's retry continues from the last checkpoint instead of
@@ -53,7 +53,7 @@ Fault-tolerance model (the integrity layer of the harness):
   (*wedged*) run well before its full ``timeout`` deadline, while a slow
   but progressing run is left alone.
 * **Resource governance.**  Workers self-enforce the per-run memory
-  budget (``$REPRO_MEMORY_BUDGET_MB``) with a structured
+  budget (:attr:`RunOptions.memory_budget_mb`) with a structured
   :class:`~repro.sim.errors.MemoryBudgetExceeded`; disk pressure on
   cache/manifest/heartbeat writes warns once and disables that sink
   (with dropped-write counts in the sweep summary) instead of crashing.
@@ -76,12 +76,12 @@ Fault-tolerance model (the integrity layer of the harness):
   optimization — correctness still rests on atomic cache writes — and
   can be disabled with ``coordinate=False`` (CLI: ``--no-coordinate``).
 
-Per-run observability artifacts: with ``$REPRO_PROFILE_DIR`` /
-``$REPRO_METRICS_DIR`` / ``$REPRO_CHECKPOINT_DIR`` exported (the CLI's
-``--profile`` / ``--metrics-dir`` / ``--checkpoint-dir`` do this before
-the pool starts, so every worker inherits them), each *executed* run
-additionally writes a wall-clock profile, a windowed-metrics time-series
-document, and periodic snapshots, all named
+Per-run observability artifacts: with a profile, metrics or checkpoint
+directory set in the engine's :class:`RunOptions` (the CLI's
+``--profile`` / ``--metrics-dir`` / ``--checkpoint-dir``; the engine
+hands the options to every worker alongside its spec), each *executed*
+run additionally writes a wall-clock profile, a windowed-metrics
+time-series document, and periodic snapshots, all named
 ``<benchmark>-<fingerprint[:12]>.*`` — the same key prefix as this
 module's result cache, so a run's artifacts join on the fingerprint
 (see OBSERVABILITY.md).  Cache hits execute nothing and therefore emit
@@ -108,6 +108,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -144,8 +145,8 @@ from repro.harness.coordinate import (
 )
 from repro.harness.supervise import QuarantineRegistry, is_disk_pressure
 from repro.sim.checkpoint import (
+    DEFAULT_CHECKPOINT_INTERVAL,
     atomic_write_json,
-    checkpoint_dir_from_env,
     free_bytes,
 )
 from repro.sim.config import GpuConfig
@@ -157,6 +158,7 @@ from repro.sim.errors import (
 )
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
+from repro.sim.telemetry import DEFAULT_METRICS_INTERVAL
 from repro.trace.swp import SoftwarePrefetchConfig
 
 #: Bump whenever a code change alters what any cached result would contain:
@@ -244,6 +246,43 @@ class RunSpec:
     perfect_memory: bool
     scale: float
     config: GpuConfig
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a spec executes, as opposed to what it simulates.
+
+    The engine pickles one instance alongside every spec it hands a
+    worker (``worker(spec, options)``), inline and pooled alike, so the
+    settings travel with the request instead of through process-global
+    state.  No field changes the simulated :class:`SimStats`, so
+    ``RunOptions`` never enters the :func:`fingerprint`.
+
+    Attributes:
+        invariants: Attach the invariant checker (``False`` leaves the
+            simulator's own ``$REPRO_INVARIANTS`` default in charge).
+        profile_dir: Write each executed run's wall-clock profile here.
+        metrics_dir: Write each executed run's windowed-metrics document
+            here.
+        metrics_interval: Nominal simulated cycles per metrics window.
+        checkpoint_dir: Auto-snapshot each run here, and resume a run
+            from its valid snapshot.
+        checkpoint_interval: Simulated cycles between auto-snapshots.
+        heartbeat_dir: Write per-run liveness heartbeats here (set by a
+            supervising engine for its pool workers).
+        heartbeat_interval: Wall-clock seconds between heartbeat writes.
+        memory_budget_mb: Per-run peak-RSS budget; ``None`` disables it.
+    """
+
+    invariants: bool = False
+    profile_dir: Union[str, Path, None] = None
+    metrics_dir: Union[str, Path, None] = None
+    metrics_interval: int = DEFAULT_METRICS_INTERVAL
+    checkpoint_dir: Union[str, Path, None] = None
+    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
+    heartbeat_dir: Union[str, Path, None] = None
+    heartbeat_interval: float = supervise.DEFAULT_HEARTBEAT_INTERVAL
+    memory_budget_mb: Optional[float] = None
 
 
 @dataclass
@@ -734,7 +773,7 @@ class ProgressReporter:
 # ----------------------------------------------------------------------
 
 
-def _sweep_worker(spec: RunSpec) -> SimStats:
+def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
     """Pool entry point: execute one spec, return its (picklable) stats.
 
     Imported lazily so ``runner`` -> ``sweep`` stays a one-way module
@@ -750,7 +789,7 @@ def _sweep_worker(spec: RunSpec) -> SimStats:
     from repro.harness.runner import run_spec
 
     supervise.install_worker_signal_handlers()
-    return run_spec(spec).stats
+    return run_spec(spec, options=options).stats
 
 
 @dataclass
@@ -823,8 +862,9 @@ class SweepEngine:
             failure; other runs are unaffected.  Inline runs cannot be
             preempted and ignore it.
         progress: Progress/ETA reporter.
-        worker: Run-execution callable (overridable for testing and
-            fault injection).
+        worker: Run-execution callable ``worker(spec, options)``
+            returning the run's :class:`SimStats` (overridable for
+            testing and fault injection).
         retries: Maximum *additional* attempts for a transiently-failed
             run (crashed worker, ``OSError``).  Deterministic failures
             are never retried.
@@ -843,8 +883,9 @@ class SweepEngine:
             a heartbeat-silent run after ``heartbeat_interval *
             stall_grace`` seconds (floor 2 s) instead of waiting out the
             full ``timeout``.  ``None`` disables supervision.
-        heartbeat_dir: Directory for the heartbeat files (a private temp
-            directory when unset).
+        heartbeat_dir: Directory for the heartbeat files (when unset, a
+            private temp directory that each pooled sweep removes when
+            it ends).
         stall_grace: Multiples of ``heartbeat_interval`` of silence
             tolerated before a run is declared wedged.
         quarantine_dir: Poison-spec registry directory.  Specs already
@@ -868,6 +909,12 @@ class SweepEngine:
             (``heartbeat_interval * stall_grace``, floored) when
             supervising, else
             :data:`~repro.harness.coordinate.DEFAULT_LEASE_GRACE`.
+
+    Attributes:
+        options: The :class:`RunOptions` handed to every worker call
+            (observers, checkpoints, memory budget); assign a new
+            instance to change them.  A supervising pool adds its own
+            heartbeat directory and interval.
     """
 
     def __init__(
@@ -876,7 +923,7 @@ class SweepEngine:
         jobs: int = 1,
         timeout: Optional[float] = None,
         progress: Optional[ProgressReporter] = None,
-        worker: Callable[[RunSpec], SimStats] = _sweep_worker,
+        worker: Callable[[RunSpec, RunOptions], SimStats] = _sweep_worker,
         retries: int = 2,
         retry_backoff: float = 0.5,
         max_failures: Optional[int] = None,
@@ -896,6 +943,7 @@ class SweepEngine:
         self.timeout = timeout
         self.progress = progress or ProgressReporter(enabled=False)
         self.worker = worker
+        self.options = RunOptions()
         self.retries = max(0, int(retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
         self.max_failures = max_failures
@@ -1445,9 +1493,11 @@ class SweepEngine:
                     if self.worker is _sweep_worker:
                         # Inline default path: keep the full result object
                         # (live cores/DRAM handles) instead of stats only.
-                        result = run_spec(spec)
+                        result = run_spec(spec, options=self.options)
                     else:
-                        result = SimulationResult(self.worker(spec))
+                        result = SimulationResult(
+                            self.worker(spec, self.options)
+                        )
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     if (
                         isinstance(exc, WorkerInterrupted)
@@ -1552,27 +1602,27 @@ class SweepEngine:
         executors: List[ProcessPoolExecutor] = []
         executor: Optional[ProcessPoolExecutor] = None
         lost_slots = 0
-        # With $REPRO_CHECKPOINT_DIR exported, every worker checkpoints
-        # its run periodically and run_spec() resumes from the newest
-        # valid snapshot — which makes deadline hits worth retrying.
-        resumable = checkpoint_dir_from_env() is not None
+        options = self.options
+        # With a checkpoint directory set, every worker checkpoints its
+        # run periodically and run_spec() resumes from the newest valid
+        # snapshot — which makes deadline hits worth retrying.
+        resumable = options.checkpoint_dir is not None
 
         supervising = self.heartbeat_interval is not None
-        saved_env: Dict[str, Optional[str]] = {}
+        own_heartbeat_dir = False
         if supervising:
             if self.heartbeat_dir is None:
+                # A private directory, removed again when the sweep ends.
                 self.heartbeat_dir = Path(
                     tempfile.mkdtemp(prefix="repro-heartbeats-")
                 )
+                own_heartbeat_dir = True
             self.heartbeat_dir.mkdir(parents=True, exist_ok=True)
-            # Exported (not passed) so pool workers inherit them exactly
-            # like $REPRO_CHECKPOINT_DIR; restored in the finally block.
-            for name, value in (
-                (supervise.HEARTBEAT_DIR_ENV, str(self.heartbeat_dir)),
-                (supervise.HEARTBEAT_INTERVAL_ENV, str(self.heartbeat_interval)),
-            ):
-                saved_env[name] = os.environ.get(name)
-                os.environ[name] = value
+            options = dataclasses.replace(
+                options,
+                heartbeat_dir=self.heartbeat_dir,
+                heartbeat_interval=self.heartbeat_interval,
+            )
             stall_threshold = max(
                 self.heartbeat_interval * self.stall_grace,
                 supervise.WEDGE_GRACE_FLOOR,
@@ -1598,10 +1648,10 @@ class SweepEngine:
                 self._clear_heartbeat(run)
             run.submitted_wall = time.time()
             try:
-                future = executor.submit(self.worker, run.spec)
+                future = executor.submit(self.worker, run.spec, options)
             except (BrokenExecutor, RuntimeError):
                 executor = fresh_executor()
-                future = executor.submit(self.worker, run.spec)
+                future = executor.submit(self.worker, run.spec, options)
             run.deadline = (
                 time.monotonic() + self.timeout if self.timeout else None
             )
@@ -1857,12 +1907,10 @@ class SweepEngine:
                     if not running:
                         executor = fresh_executor()
         finally:
-            for name, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
             for ex in executors:
                 # Never block on hung workers; orphaned runs finish (or
                 # die) on their own without affecting us.
                 ex.shutdown(wait=False, cancel_futures=True)
+            if own_heartbeat_dir:
+                shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
+                self.heartbeat_dir = None

@@ -68,39 +68,9 @@ from repro.sim.errors import CheckpointError
 #: reject snapshots from other versions rather than guessing.
 CHECKPOINT_SCHEMA = 1
 
-#: Environment variable naming the directory auto-checkpoints are
-#: written into.  Mirrors ``$REPRO_PROFILE_DIR``: the CLI exports it
-#: before the sweep engine forks workers, so pooled runs checkpoint
-#: exactly like inline ones.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
-
-#: Environment variable carrying the auto-checkpoint interval in cycles.
-CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
-
 #: Default auto-checkpoint interval (cycles) when a directory is set but
 #: no interval is given.
 DEFAULT_CHECKPOINT_INTERVAL = 50_000
-
-
-def checkpoint_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_CHECKPOINT_DIR``, or None when unset."""
-    value = os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def checkpoint_interval_from_env() -> int:
-    """Auto-checkpoint interval from ``$REPRO_CHECKPOINT_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_CHECKPOINT_INTERVAL` when unset or
-    unparsable (a bad value must not kill a worker that merely inherited
-    the environment).
-    """
-    value = os.environ.get(CHECKPOINT_INTERVAL_ENV, "").strip()
-    try:
-        interval = int(value)
-    except ValueError:
-        return DEFAULT_CHECKPOINT_INTERVAL
-    return interval if interval > 0 else DEFAULT_CHECKPOINT_INTERVAL
 
 
 def canonical_json(document: object) -> str:

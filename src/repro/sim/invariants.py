@@ -171,7 +171,9 @@ class InvariantChecker:
 
     Args:
         sim: The simulator to watch (attached by ``GpuSimulator``).
-        interval: Simulated cycles between mid-run check passes.
+        interval: Simulated cycles between mid-run check passes.  The
+            default is well below the length of the shortest golden
+            run, so every checked run is also checked mid-flight.
         watchdog_window: Simulated cycles without any activity
             (instructions retired, requests completed, DRAM lines
             transferred) after which the run is declared wedged.
@@ -180,7 +182,7 @@ class InvariantChecker:
     def __init__(
         self,
         sim,
-        interval: int = 100_000,
+        interval: int = 1_000,
         watchdog_window: int = 4_000_000,
     ) -> None:
         self.sim = sim

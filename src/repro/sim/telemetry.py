@@ -72,23 +72,12 @@ together.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
 #: Schema tag embedded in every emitted metrics document.
 METRICS_SCHEMA = 1
-
-#: Environment variable naming the directory metrics documents are
-#: written into.  Mirrors ``$REPRO_PROFILE_DIR``: the CLI exports it
-#: before the sweep engine forks workers, so pooled runs record exactly
-#: like inline ones.
-METRICS_DIR_ENV = "REPRO_METRICS_DIR"
-
-#: Environment variable overriding the nominal sampling interval
-#: (simulated cycles between window samples).
-METRICS_INTERVAL_ENV = "REPRO_METRICS_INTERVAL"
 
 #: Nominal simulated cycles per window (``--metrics-interval`` default).
 DEFAULT_METRICS_INTERVAL = 1000
@@ -152,27 +141,6 @@ SIMSTATS_EQUIVALENTS = {
     "prefetches_useful": "useful_prefetches",
     "prefetches_late": "late_prefetches",
 }
-
-
-def metrics_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_METRICS_DIR``, or None when unset/empty."""
-    value = os.environ.get(METRICS_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def metrics_interval_from_env() -> int:
-    """Sampling interval from ``$REPRO_METRICS_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_METRICS_INTERVAL` when unset, empty,
-    non-numeric or non-positive — a misconfigured interval degrades to
-    the default rather than disabling telemetry or crashing a sweep.
-    """
-    value = os.environ.get(METRICS_INTERVAL_ENV, "").strip()
-    try:
-        interval = int(value)
-    except ValueError:
-        return DEFAULT_METRICS_INTERVAL
-    return interval if interval > 0 else DEFAULT_METRICS_INTERVAL
 
 
 class MetricsRecorder:

@@ -22,12 +22,14 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import checkpoint_path_for, make_spec, run_spec
-from repro.harness.sweep import RunFailure, SweepEngine, SweepManifest, fingerprint
-from repro.sim.checkpoint import (
-    CHECKPOINT_DIR_ENV,
-    CHECKPOINT_INTERVAL_ENV,
-    load_checkpoint,
+from repro.harness.sweep import (
+    RunFailure,
+    RunOptions,
+    SweepEngine,
+    SweepManifest,
+    fingerprint,
 )
+from repro.sim.checkpoint import load_checkpoint
 from repro.sim.errors import load_failure_report
 from repro.sim.gpu import SimulationResult
 
@@ -52,13 +54,16 @@ def fault_dir(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def checkpoint_dir(tmp_path, monkeypatch):
-    """A fresh auto-checkpoint directory, exported like the CLI does."""
+def checkpoint_dir(tmp_path):
+    """A fresh auto-checkpoint directory."""
     directory = tmp_path / "checkpoints"
     directory.mkdir()
-    monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(directory))
-    monkeypatch.setenv(CHECKPOINT_INTERVAL_ENV, "500")
     return directory
+
+
+def checkpointing(directory) -> RunOptions:
+    """Run options that auto-snapshot every 500 cycles into ``directory``."""
+    return RunOptions(checkpoint_dir=directory, checkpoint_interval=500)
 
 
 def profiled_loop_iterations(profile_path) -> int:
@@ -69,7 +74,7 @@ def profiled_loop_iterations(profile_path) -> int:
 
 class TestSigkillResume:
     def test_sigkilled_run_resumes_bit_identically(
-        self, tmp_path, checkpoint_dir, monkeypatch
+        self, tmp_path, checkpoint_dir
     ):
         """Kill a checkpointing run with SIGKILL; resume; match the golden.
 
@@ -81,17 +86,14 @@ class TestSigkillResume:
         bit-identical to the golden capture of an uninterrupted run.
         """
         spec = make_spec(**RECOVERY_REQUEST)
-        child_env = {
-            **os.environ,
-            "PYTHONPATH": str(REPO_ROOT / "src"),
-            CHECKPOINT_DIR_ENV: str(checkpoint_dir),
-        }
+        child_env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
         child = subprocess.run(
             [
                 sys.executable, "-c",
                 "from repro.harness.runner import make_spec\n"
                 "from tests.harness.faults import sigkill_after_snapshot\n"
-                f"sigkill_after_snapshot(make_spec(**{RECOVERY_REQUEST!r}))\n",
+                f"sigkill_after_snapshot(make_spec(**{RECOVERY_REQUEST!r}), "
+                f"{str(checkpoint_dir)!r})\n",
             ],
             cwd=REPO_ROOT, env=child_env, capture_output=True, text=True,
             timeout=120,
@@ -106,16 +108,15 @@ class TestSigkillResume:
         assert envelope["cycle"] > 0
 
         # Reference: an uninterrupted profiled run (no checkpoint dir).
-        monkeypatch.delenv(CHECKPOINT_DIR_ENV)
         full_profile = tmp_path / "full.json"
         full = run_spec(make_spec(**RECOVERY_REQUEST),
                         profile_path=full_profile)
         assert stats_sha(full) == golden_sha(RECOVERY_REQUEST)
 
         # The resumed run: same worker entry point the sweep pool uses.
-        monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(checkpoint_dir))
         resumed_profile = tmp_path / "resumed.json"
-        resumed = run_spec(spec, profile_path=resumed_profile)
+        resumed = run_spec(spec, profile_path=resumed_profile,
+                           options=checkpointing(checkpoint_dir))
         assert stats_sha(resumed) == golden_sha(RECOVERY_REQUEST), (
             "resumed run diverged from the uninterrupted golden capture"
         )
@@ -144,6 +145,7 @@ class TestSweepWorkerRecovery:
         spec = make_spec(**RECOVERY_REQUEST)
         engine = SweepEngine(jobs=2, worker=faults.checkpointing_crash_worker,
                              retries=2, retry_backoff=0.0)
+        engine.options = checkpointing(checkpoint_dir)
         [outcome] = engine.run([spec])
         assert isinstance(outcome, SimulationResult)
         assert stats_sha(outcome) == golden_sha(RECOVERY_REQUEST)
@@ -166,6 +168,7 @@ class TestSweepWorkerRecovery:
         engine = SweepEngine(jobs=2, timeout=0.4,
                              worker=faults.selectively_slow_worker,
                              retries=1, retry_backoff=0.0)
+        engine.options = checkpointing(checkpoint_dir)
         slow, fast = engine.run([stalled, healthy])
         assert isinstance(fast, SimulationResult)
         assert isinstance(slow, RunFailure)
@@ -204,7 +207,7 @@ class TestCorruptSnapshotQuarantine:
         faults.corrupt_checkpoint(snapshot, mode)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_spec(spec)
+            result = run_spec(spec, options=checkpointing(checkpoint_dir))
         assert any("cold-starting" in str(w.message) for w in caught), (
             "silent fallback: the discarded snapshot was not surfaced"
         )

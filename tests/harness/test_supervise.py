@@ -29,6 +29,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -36,11 +37,12 @@ from pathlib import Path
 import pytest
 
 from repro.harness import supervise
-from repro.harness.runner import ExperimentRunner, make_spec
+from repro.harness.runner import ExperimentRunner, make_spec, run_spec
 from repro.harness.sweep import (
     ProgressReporter,
     ResultCache,
     RunFailure,
+    RunOptions,
     SweepEngine,
     SweepInterrupted,
     SweepManifest,
@@ -151,33 +153,25 @@ class TestHeartbeat:
         assert record["wall"] == pytest.approx(path.stat().st_mtime)
         assert supervise.read_heartbeat(tmp_path / "absent.json") is None
 
-    def test_sentinel_from_env_wires_heartbeat_and_budget(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(supervise.HEARTBEAT_DIR_ENV, str(tmp_path))
-        monkeypatch.setenv(supervise.HEARTBEAT_INTERVAL_ENV, "0.5")
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "512")
-        sentinel = supervise.sentinel_from_env("monte", "a" * 64)
-        try:
-            assert sentinel.heartbeat is not None
-            assert sentinel.heartbeat.interval == 0.5
-            assert sentinel.memory_budget_kb == 512 * 1024
-            # The construction-time beat recorded our pid already.
-            record = supervise.read_heartbeat(sentinel.heartbeat.path)
-            assert record["pid"] == os.getpid()
-        finally:
-            sentinel.close()
-
-    def test_env_parsing_is_forgiving(self, monkeypatch):
-        monkeypatch.setenv(supervise.HEARTBEAT_INTERVAL_ENV, "bogus")
-        assert (
-            supervise.heartbeat_interval_from_env()
-            == supervise.DEFAULT_HEARTBEAT_INTERVAL
+    def test_run_options_wire_heartbeat_and_budget(self, tmp_path):
+        """run_spec builds its sentinel from the RunOptions it is given."""
+        spec = spec_for("monte")
+        options = RunOptions(
+            heartbeat_dir=tmp_path, heartbeat_interval=0.5,
+            memory_budget_mb=1.0,
         )
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "-3")
-        assert supervise.memory_budget_kb_from_env() is None
-        monkeypatch.delenv(supervise.MEMORY_BUDGET_ENV)
-        assert supervise.memory_budget_kb_from_env() is None
+        # Any live interpreter is far above 1 MB, so the first
+        # supervision tick trips the budget, leaving the heartbeat
+        # (closed only on success) behind.
+        with pytest.raises(MemoryBudgetExceeded) as excinfo:
+            run_spec(spec, options=options)
+        assert excinfo.value.snapshot["budget_kb"] == 1024
+        record = supervise.read_heartbeat(
+            supervise.heartbeat_path_for(
+                spec.benchmark, fingerprint(spec), tmp_path
+            )
+        )
+        assert record["pid"] == os.getpid()
 
 
 # ----------------------------------------------------------------------
@@ -255,19 +249,17 @@ class TestRunSentinel:
 
 
 class TestMemoryBudget:
-    def test_pool_run_trips_the_budget_without_retries(
-        self, fault_dir, monkeypatch
-    ):
+    def test_pool_run_trips_the_budget_without_retries(self, fault_dir):
         # Fork-started workers inherit the parent's peak RSS, so the
         # budget must sit above it; the 256 MB balloon then clears the
         # 64 MB margin by 4x on any platform.
         budget_mb = supervise.peak_rss_kb() // 1024 + 64
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, str(budget_mb))
         specs = [spec_for("monte"), spec_for("cell")]
         engine = SweepEngine(
             jobs=2, worker=faults.rss_balloon_worker,
             retries=2, retry_backoff=0.0, graceful_shutdown=False,
         )
+        engine.options = RunOptions(memory_budget_mb=budget_mb)
         outcomes = engine.run(specs)
         assert all(isinstance(o, RunFailure) for o in outcomes)
         assert {o.kind for o in outcomes} == {"memory-budget"}
@@ -299,7 +291,7 @@ class TestErrnoClassification:
         assert is_transient_failure(BrokenPipeError(errno.EPIPE, "pipe"))
 
     def test_permanent_oserror_is_not_retried_by_the_engine(self, fault_dir):
-        def denied_worker(spec):
+        def denied_worker(spec, options):
             faults.record_attempt(spec)
             raise PermissionError(errno.EACCES, "injected EACCES")
 
@@ -371,6 +363,32 @@ class TestWedgeSupervision:
         assert wedged.quarantined
         assert (quarantine_dir / f"{wedged.key}.json").is_file()
         assert isinstance(healthy, SimulationResult)
+
+
+    def test_private_heartbeat_dir_is_removed_at_sweep_end(
+        self, fault_dir, tmp_path, monkeypatch
+    ):
+        """A heartbeat dir the engine made for itself does not outlive it."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        engine = SweepEngine(
+            jobs=2, worker=faults.fast_worker, heartbeat_interval=0.2,
+        )
+        outcomes = engine.run([spec_for("monte"), spec_for("cell")])
+        assert all(isinstance(o, SimulationResult) for o in outcomes)
+        assert not list(scratch.glob("repro-heartbeats-*"))
+        assert engine.heartbeat_dir is None
+
+    def test_caller_heartbeat_dir_is_kept(self, fault_dir, tmp_path):
+        directory = tmp_path / "heartbeats"
+        engine = SweepEngine(
+            jobs=2, worker=faults.fast_worker, heartbeat_interval=0.2,
+            heartbeat_dir=directory,
+        )
+        engine.run([spec_for("monte"), spec_for("cell")])
+        assert directory.is_dir()
+        assert engine.heartbeat_dir == directory
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +645,7 @@ class TestProgressReporting:
 # ----------------------------------------------------------------------
 
 
-def _shutdown_after_first_worker(spec):
+def _shutdown_after_first_worker(spec, options):
     """Succeed, then request a graceful shutdown (inline-only helper)."""
     faults.record_attempt(spec)
     supervise.request_shutdown()
@@ -808,12 +826,21 @@ class TestSigtermMidSweepSubprocess:
 
 
 class TestRunnerPlumbing:
-    def test_memory_budget_is_exported_for_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "")
+    def test_memory_budget_is_exported_for_workers(self, tmp_path):
+        """The budget reaches workers through the engine's RunOptions."""
+        environ = dict(os.environ)
         runner = ExperimentRunner(
             scale=SCALE, memory_budget_mb=512.0,
             heartbeat_interval=1.0, quarantine_dir=tmp_path / "q",
         )
-        assert os.environ[supervise.MEMORY_BUDGET_ENV] == "512.0"
+        assert runner.engine.options.memory_budget_mb == 512.0
         assert runner.engine.heartbeat_interval == 1.0
         assert runner.engine.quarantine is not None
+        assert dict(os.environ) == environ
+
+    def test_memory_budget_does_not_leak_into_other_runners(self):
+        """Constructing a budgeted runner leaves every other runner alone."""
+        ExperimentRunner(scale=SCALE, memory_budget_mb=1)
+        other = ExperimentRunner(scale=0.1, use_cache=False)
+        assert other.engine.options.memory_budget_mb is None
+        assert other.run("cell").cycles > 0

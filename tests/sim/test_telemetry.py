@@ -39,7 +39,6 @@ from repro.sim.telemetry import (
     METRICS_SCHEMA,
     SIMSTATS_EQUIVALENTS,
     MetricsRecorder,
-    metrics_interval_from_env,
     to_chrome_trace,
     validate_metrics_document,
 )
@@ -335,18 +334,6 @@ def test_chrome_trace_structure(tmp_path):
         assert event["ts"] >= 0
     # The document round-trips through JSON (what --format chrome emits).
     json.dumps(trace)
-
-
-def test_interval_env_fallback(monkeypatch):
-    from repro.sim.telemetry import METRICS_INTERVAL_ENV
-
-    monkeypatch.delenv(METRICS_INTERVAL_ENV, raising=False)
-    assert metrics_interval_from_env() == DEFAULT_METRICS_INTERVAL
-    monkeypatch.setenv(METRICS_INTERVAL_ENV, "250")
-    assert metrics_interval_from_env() == 250
-    for bad in ("", "banana", "0", "-5"):
-        monkeypatch.setenv(METRICS_INTERVAL_ENV, bad)
-        assert metrics_interval_from_env() == DEFAULT_METRICS_INTERVAL
 
 
 def test_recorder_rejects_bad_construction():

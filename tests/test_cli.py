@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -101,19 +102,22 @@ def test_no_cache_flag_disables_persistence(tmp_path, capsys):
 
 
 def test_integrity_flags(tmp_path, monkeypatch, capsys):
-    """--invariants exports REPRO_INVARIANTS and the fault-tolerance flags
-    thread through to a working run with a checkpoint manifest."""
-    import os
-
+    """--invariants reaches pooled sweep workers (their profiles time the
+    checker) and the fault-tolerance flags thread through to a working
+    run with a checkpoint manifest."""
     monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
     manifest = tmp_path / "sweep.jsonl"
+    profiles = tmp_path / "profiles"
     assert main([
-        "run", "cell", "--scale", "0.1", "--invariants", "--retries", "1",
-        "--timeout", "120", "--max-failures", "3",
+        "run", "cell", "--hardware", "mt-hwp", "--scale", "0.1",
+        "--jobs", "2", "--invariants", "--profile", str(profiles),
+        "--retries", "1", "--timeout", "120", "--max-failures", "3",
         "--manifest", str(manifest),
     ]) == 0
-    assert os.environ.get("REPRO_INVARIANTS") == "1"
     assert "speedup" in capsys.readouterr().out
+    docs = [json.loads(p.read_text()) for p in profiles.glob("*.json")]
+    assert len(docs) == 2, sorted(p.name for p in profiles.iterdir())
+    assert all(doc["phases_wall_seconds"]["invariants"] > 0 for doc in docs)
     lines = [json.loads(l) for l in manifest.read_text().splitlines()]
     runs = [r for r in lines if r["key"] != "__sweep__"]
     assert runs and all(r["status"] == "done" for r in runs)
@@ -127,23 +131,35 @@ def test_fail_fast_flag_parses(capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_checkpoint_flags_export_env(tmp_path, monkeypatch, capsys):
-    """--checkpoint-dir/--checkpoint-interval export the env vars sweep
-    workers inherit, and the run still completes normally."""
-    import os
-
-    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CHECKPOINT_INTERVAL", raising=False)
+def test_checkpoint_flags_reach_pool_workers(tmp_path, capsys):
+    """--checkpoint-dir/--checkpoint-interval reach pooled sweep workers,
+    and the runs still complete normally."""
     ckpt = tmp_path / "checkpoints"
     assert main([
-        "run", "cell", "--scale", "0.1",
+        "run", "cell", "--hardware", "mt-hwp", "--scale", "0.1",
+        "--jobs", "2",
         "--checkpoint-dir", str(ckpt), "--checkpoint-interval", "400",
     ]) == 0
-    assert os.environ.get("REPRO_CHECKPOINT_DIR") == str(ckpt)
-    assert os.environ.get("REPRO_CHECKPOINT_INTERVAL") == "400"
     assert "speedup" in capsys.readouterr().out
+    # Only a written snapshot creates the directory, and these short
+    # runs would never reach the default 50000-cycle interval.
+    assert ckpt.is_dir()
     # Completed runs clean their snapshots up.
     assert not list(ckpt.glob("*.ckpt.json"))
+
+
+def test_sweep_flags_leave_environment_untouched(tmp_path, capsys):
+    """Per-run settings travel in RunOptions, never through os.environ."""
+    environ = dict(os.environ)
+    assert main([
+        "compare", "cell", "--schemes", "stride_pc", "--scale", "0.1",
+        "--invariants", "--profile", str(tmp_path / "profiles"),
+        "--metrics-dir", str(tmp_path / "metrics"),
+        "--checkpoint-dir", str(tmp_path / "checkpoints"),
+        "--memory-budget", "100000",
+    ]) == 0
+    assert "speedup" in capsys.readouterr().out
+    assert dict(os.environ) == environ
 
 
 def test_resume_from_flag(tmp_path, capsys):
@@ -174,35 +190,39 @@ def test_invalid_command_exits():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("flag", ["--metrics-interval", "--checkpoint-interval"])
+def test_non_positive_interval_is_rejected(flag):
+    with pytest.raises(SystemExit):
+        main(["run", "cell", flag, "0"])
+
+
 SAMPLE_METRICS = Path(__file__).parent / "data" / "sample.metrics.json"
 
 
-def test_metrics_dir_writes_fingerprinted_documents(tmp_path, monkeypatch, capsys):
-    """--metrics-dir exports the env var workers inherit and every
-    executed run lands a validated <benchmark>-<fp12>.metrics.json."""
-    import os
-
+def test_metrics_dir_writes_fingerprinted_documents(tmp_path, capsys):
+    """With --metrics-dir, every run a pooled sweep executes lands a
+    validated <benchmark>-<fp12>.metrics.json at the requested interval."""
     from repro.harness.runner import make_spec, metrics_path_for
     from repro.sim.telemetry import validate_metrics_document
 
-    monkeypatch.delenv("REPRO_METRICS_DIR", raising=False)
-    monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
     metrics = tmp_path / "metrics"
     assert main([
         "run", "cell", "--hardware", "mt-hwp", "--throttle", "--scale", "0.1",
+        "--jobs", "2",
         "--metrics-dir", str(metrics), "--metrics-interval", "250",
     ]) == 0
-    assert os.environ.get("REPRO_METRICS_DIR") == str(metrics)
-    assert os.environ.get("REPRO_METRICS_INTERVAL") == "250"
     assert "speedup" in capsys.readouterr().out
-    spec = make_spec("cell", hardware="mt-hwp", throttle=True, scale=0.1)
-    expected = metrics_path_for(spec, metrics)
-    assert expected.exists(), sorted(p.name for p in metrics.iterdir())
-    with open(expected, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    validate_metrics_document(doc)
-    assert doc["benchmark"] == "cell"
-    assert doc["interval"] == 250
+    for spec in (
+        make_spec("cell", scale=0.1),
+        make_spec("cell", hardware="mt-hwp", throttle=True, scale=0.1),
+    ):
+        expected = metrics_path_for(spec, metrics)
+        assert expected.exists(), sorted(p.name for p in metrics.iterdir())
+        with open(expected, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        validate_metrics_document(doc)
+        assert doc["benchmark"] == "cell"
+        assert doc["interval"] == 250
 
 
 def test_report_markdown_default(capsys):

@@ -11,6 +11,9 @@ workload.  These tests pin that down three ways:
 2. same spec run twice in one process — byte-identical;
 3. with and without an attached profiler — the profiling subsystem
    observes the run without perturbing it.
+
+Every golden run is also replayed under the invariant checker, which
+must check mid-run (not only at the end) and leave the stats unchanged.
 """
 
 import hashlib
@@ -20,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import make_spec, run_spec
+from repro.harness.sweep import RunOptions
+from repro.sim.gpu import GpuSimulator
 from repro.sim.profiling import SimProfiler
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
@@ -40,13 +45,13 @@ def golden_runs():
         return json.load(fh)["runs"]
 
 
-@pytest.mark.parametrize(
-    "run", golden_runs(),
-    ids=lambda run: "-".join(
-        str(run["request"][k])
-        for k in ("benchmark", "hardware", "software")
-    ),
-)
+def golden_id(run) -> str:
+    return "-".join(
+        str(run["request"][k]) for k in ("benchmark", "hardware", "software")
+    )
+
+
+@pytest.mark.parametrize("run", golden_runs(), ids=golden_id)
 def test_stats_match_pre_optimization_golden(run):
     """Optimized simulator == seed simulator, bit for bit."""
     spec = make_spec(**run["request"])
@@ -55,6 +60,27 @@ def test_stats_match_pre_optimization_golden(run):
         "serialized SimStats diverged from the pre-optimization golden "
         f"capture for {run['request']}"
     )
+
+
+@pytest.mark.parametrize("run", golden_runs(), ids=golden_id)
+def test_invariants_check_golden_runs_mid_run(run, monkeypatch):
+    """The checker fires before the end of every golden run, and
+    observing the run leaves its stats bit-identical."""
+    checkers = []
+    init = GpuSimulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        checkers.append(self.invariants)
+
+    monkeypatch.setattr(GpuSimulator, "__init__", recording_init)
+    result = run_spec(
+        make_spec(**run["request"]), options=RunOptions(invariants=True)
+    )
+    [checker] = checkers
+    # One pass is the end-of-run check; any more ran mid-flight.
+    assert checker.checks >= 2
+    assert sha256(result) == run["sha256"]
 
 
 def test_same_spec_twice_is_byte_identical():
