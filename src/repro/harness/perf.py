@@ -22,7 +22,8 @@ Document schema (``PERF_SCHEMA``)::
       "quick": false,
       "runs": [{"benchmark": ..., "hardware": ..., "software": ...,
                 "throttle": ..., "scale": ..., "cycles": ...,
-                "wall_seconds": ..., "sim_cycles_per_sec": ...}, ...],
+                "wall_seconds": ..., "sim_cycles_per_sec": ...,
+                "gc_collections": ...}, ...],
       "totals": {"cycles": ..., "wall_seconds": ...,
                  "sim_cycles_per_sec": ..., "peak_rss_kb": ...},
       "history": [{"label": ..., "generated": ..., "totals": {...}}, ...]
@@ -43,6 +44,7 @@ OBSERVABILITY.md maps out all three observer layers.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -99,19 +101,37 @@ def peak_rss_kb() -> int:
 
 
 def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
-    """Run one spec ``repeats`` times; report the best (min-wall) timing."""
+    """Run one spec ``repeats`` times; report the best (min-wall) timing.
+
+    ``gc_collections`` counts the cyclic collections that ran inside
+    the ``_simulate`` calls, summed over the repeats.  It is the
+    ``gc.get_stats()`` collection delta over exactly those calls, read
+    through ``gc.callbacks`` because reading ``gc.get_stats()`` itself
+    allocates and can set off a collection just outside the window.
+    """
     spec = make_spec(**request)
     kernel = get_benchmark(spec.benchmark, scale=spec.scale)
     builder = HARDWARE_SCHEMES[spec.hardware]
     best: Optional[SimProfiler] = None
+    collections = 0
+
+    def count_collection(phase: str, info: Dict[str, int]) -> None:
+        nonlocal collections
+        if phase == "start":
+            collections += 1
+
     for _ in range(max(1, repeats)):
         profiler = SimProfiler()
         profiler.benchmark = spec.benchmark
-        _simulate(
-            kernel, spec.software, builder, spec.distance, spec.degree,
-            spec.config, spec.throttle, spec.perfect_memory, strict=True,
-            profiler=profiler,
-        )
+        gc.callbacks.append(count_collection)
+        try:
+            _simulate(
+                kernel, spec.software, builder, spec.distance, spec.degree,
+                spec.config, spec.throttle, spec.perfect_memory, strict=True,
+                profiler=profiler,
+            )
+        finally:
+            gc.callbacks.remove(count_collection)
         if best is None or profiler.wall_seconds < best.wall_seconds:
             best = profiler
     return {
@@ -123,6 +143,7 @@ def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
         "cycles": best.cycles,
         "wall_seconds": round(best.wall_seconds, 6),
         "sim_cycles_per_sec": round(best.sim_cycles_per_sec, 1),
+        "gc_collections": collections,
     }
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -64,10 +65,15 @@ from repro.trace.tracegen import generate_workload
 class WorkloadMemo:
     """In-process LRU memo for :func:`generate_workload` results.
 
-    A sweep's specs draw from a handful of kernel × software-prefetch
-    combinations (six benchmarks, a few schemes), yet every run used to
-    regenerate its trace from scratch — for short runs in a warm worker
-    process the regeneration rivals the simulation itself.  Workloads
+    A trace depends only on the kernel and the software-prefetch
+    scheme, and for short runs in a warm worker process regenerating it
+    rivals the simulation itself.  The working set is set by the figure
+    grid, which crosses the 14 memory benchmarks with its schemes.  A
+    hardware-prefetch grid shares one trace per benchmark across every
+    scheme, and its specs are benchmark-major: Fig. 15 is 98 runs over
+    14 traces, 84 of them memo hits at ``jobs=1``.  A software-prefetch
+    grid gives every run its own trace: Fig. 10 is 70 distinct traces
+    and 0 hits, so there the memo only costs a digest per run.  Workloads
     are immutable once generated: the simulator builds fresh
     :class:`~repro.sim.warp.Warp` objects around the shared instruction
     streams and never writes to a stream or a block tuple, so one
@@ -261,6 +267,14 @@ def _simulate(
 ) -> SimulationResult:
     """The single execution path behind every run (serial, pooled, cached).
 
+    Automatic cyclic GC is paused for the whole call and re-enabled on
+    exit only if it was enabled on entry.  The simulator creates no
+    cyclic garbage while it runs (``tests/harness/test_gc_pause.py``
+    guards this), so a collection mid-run could only rescan the live
+    simulator graph (PERFORMANCE.md "Cyclic GC" has the cost).  The
+    pause comes before any allocation, so ``repro perf`` can count the
+    collections inside a run exactly (zero).
+
     With ``checkpoint_path`` set, the run resumes from a valid snapshot
     at that path when one exists (a corrupt or mismatched snapshot is
     reported and the run falls back to a cold start), auto-snapshots
@@ -277,64 +291,72 @@ def _simulate(
     is armed *after* checkpointing so a sentinel-triggered exit can
     flush the armed snapshot.
     """
-    if perfect_memory:
-        cfg = cfg.replace(perfect_memory=True)
-    if throttle != cfg.throttle.enabled:
-        cfg = cfg.replace(throttle=dataclasses.replace(cfg.throttle, enabled=throttle))
-    factory = (
-        (lambda core_id: builder(distance, degree)) if builder is not None else None
-    )
-    workload = WORKLOAD_MEMO.get(kernel, swp)
-    sim: Optional[GpuSimulator] = None
-    if checkpoint_path is not None:
-        checkpoint_path = Path(checkpoint_path)
-        if checkpoint_path.exists():
-            try:
-                envelope = load_checkpoint(
-                    checkpoint_path, fingerprint=checkpoint_tag, config=cfg
-                )
-                sim = restore_simulator(
-                    envelope, cfg, factory,
-                    workload.blocks, workload.max_blocks_per_core,
-                    profiler=profiler, metrics=metrics,
-                )
-            except CheckpointError as exc:
-                # Recoverable: leave a structured trace of the rejected
-                # snapshot, drop it, and cold-start the run.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if perfect_memory:
+            cfg = cfg.replace(perfect_memory=True)
+        if throttle != cfg.throttle.enabled:
+            cfg = cfg.replace(
+                throttle=dataclasses.replace(cfg.throttle, enabled=throttle)
+            )
+        factory = (
+            (lambda core_id: builder(distance, degree)) if builder is not None else None
+        )
+        workload = WORKLOAD_MEMO.get(kernel, swp)
+        sim: Optional[GpuSimulator] = None
+        if checkpoint_path is not None:
+            checkpoint_path = Path(checkpoint_path)
+            if checkpoint_path.exists():
                 try:
-                    write_failure_report(
-                        checkpoint_path.with_suffix(".failure.json"),
-                        exc.to_report(),
+                    envelope = load_checkpoint(
+                        checkpoint_path, fingerprint=checkpoint_tag, config=cfg
                     )
-                    checkpoint_path.unlink(missing_ok=True)
-                except OSError:
-                    pass
-                warnings.warn(
-                    f"discarding invalid checkpoint and cold-starting: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                sim = None
-    if sim is None:
-        sim = GpuSimulator(
-            cfg, factory, invariants=invariants, profiler=profiler,
-            metrics=metrics,
-        )
-        sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-    if checkpoint_path is not None and checkpoint_interval > 0:
-        attach_checkpointing(
-            sim, checkpoint_path, checkpoint_interval, fingerprint=checkpoint_tag
-        )
-    if sentinel is not None:
-        sentinel.attach(sim)
-    result = sim.run(strict=strict)
-    if checkpoint_path is not None:
-        try:
-            Path(checkpoint_path).unlink(missing_ok=True)
-        except OSError:
-            pass
-    result.stats.benchmark = kernel.name
-    return result
+                    sim = restore_simulator(
+                        envelope, cfg, factory,
+                        workload.blocks, workload.max_blocks_per_core,
+                        profiler=profiler, metrics=metrics,
+                    )
+                except CheckpointError as exc:
+                    # Recoverable: leave a structured trace of the rejected
+                    # snapshot, drop it, and cold-start the run.
+                    try:
+                        write_failure_report(
+                            checkpoint_path.with_suffix(".failure.json"),
+                            exc.to_report(),
+                        )
+                        checkpoint_path.unlink(missing_ok=True)
+                    except OSError:
+                        pass
+                    warnings.warn(
+                        f"discarding invalid checkpoint and cold-starting: {exc}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    sim = None
+        if sim is None:
+            sim = GpuSimulator(
+                cfg, factory, invariants=invariants, profiler=profiler,
+                metrics=metrics,
+            )
+            sim.load_workload(workload.blocks, workload.max_blocks_per_core)
+        if checkpoint_path is not None and checkpoint_interval > 0:
+            attach_checkpointing(
+                sim, checkpoint_path, checkpoint_interval, fingerprint=checkpoint_tag
+            )
+        if sentinel is not None:
+            sentinel.attach(sim)
+        result = sim.run(strict=strict)
+        if checkpoint_path is not None:
+            try:
+                Path(checkpoint_path).unlink(missing_ok=True)
+            except OSError:
+                pass
+        result.stats.benchmark = kernel.name
+        return result
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def checkpoint_path_for(spec: RunSpec, directory: Union[str, Path]) -> Path:

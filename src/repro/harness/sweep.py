@@ -107,6 +107,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -774,21 +775,26 @@ class ProgressReporter:
 
 
 def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
-    """Pool entry point: execute one spec, return its (picklable) stats.
+    """Default worker: execute one spec, return its (picklable) stats.
 
-    Imported lazily so ``runner`` -> ``sweep`` stays a one-way module
-    dependency.  Only the stats travel back over the pipe; the simulator
-    object graph (cores, DRAM) stays in the worker.  Structured
-    simulation failures (deadlock, truncation, invariant violations)
-    pickle losslessly, diagnostic snapshot included.
+    Both dispatch paths call it, so every engine result is stats-only:
+    the simulator object graph (cores, DRAM) is dropped as soon as the
+    run ends, in a pool worker and inline alike.  ``run_spec`` is
+    imported lazily so ``runner`` -> ``sweep`` stays a one-way module
+    dependency.  Structured simulation failures (deadlock, truncation,
+    invariant violations) pickle losslessly, diagnostic snapshot
+    included.
 
-    Graceful SIGTERM/SIGINT handling is (re-)installed explicitly: fork
-    workers inherit the engine's handler, but spawn workers start with
-    the default disposition and would die mid-write without this.
+    In a pool worker process, graceful SIGTERM/SIGINT handling is
+    (re-)installed explicitly: fork workers inherit the engine's
+    handler, but spawn workers start with the default disposition and
+    would die mid-write without this.  Inline runs leave the engine
+    process's own dispositions alone.
     """
     from repro.harness.runner import run_spec
 
-    supervise.install_worker_signal_handlers()
+    if multiprocessing.parent_process() is not None:
+        supervise.install_worker_signal_handlers()
     return run_spec(spec, options=options).stats
 
 
@@ -848,9 +854,11 @@ class SweepEngine:
       ever) are loaded instead of simulated; with a manifest attached,
       runs journaled by an interrupted sweep are replayed the same way.
     * ``jobs <= 1`` — or a single miss — runs inline in this process (no
-      pool overhead, full :class:`SimulationResult` with live core/DRAM
-      handles); ``jobs >= 2`` uses a process pool and reconstructs
-      stats-only results.
+      pool overhead); ``jobs >= 2`` uses a process pool.  Both paths
+      return stats-only :class:`SimulationResult` objects (``cores`` and
+      ``dram`` are ``None``), so memoized sweep results never pin a
+      simulator graph; call :func:`repro.harness.runner.run_spec` for
+      live handles.
     * Results are returned in input order, one outcome per input spec,
       each either a :class:`SimulationResult` or a :class:`RunFailure`.
 
@@ -1447,8 +1455,6 @@ class SweepEngine:
     def _run_inline(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
     ) -> None:
-        from repro.harness.runner import run_spec
-
         pending: deque = deque(misses)
         waiting: deque = deque()  # (key, spec, earliest-next-poll monotonic)
         deferred_keys: set = set()  # ever parked behind a sibling's lease
@@ -1490,14 +1496,7 @@ class SweepEngine:
             attempt = 0
             while True:
                 try:
-                    if self.worker is _sweep_worker:
-                        # Inline default path: keep the full result object
-                        # (live cores/DRAM handles) instead of stats only.
-                        result = run_spec(spec, options=self.options)
-                    else:
-                        result = SimulationResult(
-                            self.worker(spec, self.options)
-                        )
+                    result = SimulationResult(self.worker(spec, self.options))
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     if (
                         isinstance(exc, WorkerInterrupted)

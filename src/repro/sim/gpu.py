@@ -39,10 +39,12 @@ PrefetcherFactory = Callable[[int], Optional[HardwarePrefetcher]]
 class SimulationResult:
     """Outcome of one simulation: the stats plus handles for inspection.
 
-    ``cores`` and ``dram`` are live simulator handles when the run
-    executed in this process; results reconstructed from the sweep
-    engine's result cache (or shipped back from a pool worker) are
-    stats-only and carry ``None`` for both.
+    ``cores`` and ``dram`` are live simulator handles on results returned
+    by :meth:`GpuSimulator.run` and the direct single-run entry points
+    (``repro.harness.runner.run_spec`` / ``run_benchmark``).  Results
+    from the sweep engine — inline or pooled, simulated or loaded from
+    the result cache or manifest — are stats-only and carry ``None`` for
+    both, so memoized sweep results never keep a simulator graph alive.
     """
 
     def __init__(

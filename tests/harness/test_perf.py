@@ -1,5 +1,6 @@
 """Tests for the perf-benchmark harness (:mod:`repro.harness.perf`)."""
 
+import gc
 import json
 
 import pytest
@@ -35,6 +36,30 @@ class TestRunPerf:
         totals = doc["totals"]
         assert totals["cycles"] == run["cycles"]
         assert totals["peak_rss_kb"] > 0
+
+    def test_no_cyclic_collection_runs_inside_a_simulation(self):
+        """Deterministic counter: ``_simulate`` pauses cyclic GC, so the
+        collections counted inside the measured runs are exactly zero
+        (the default perf subset, each spec run twice)."""
+        doc = perf.run_perf(quick=True, repeats=2, generated="t")
+        counts = [run["gc_collections"] for run in doc["runs"]]
+        assert counts == [0] * len(perf.QUICK_SPECS)
+
+    def test_gc_counter_sees_collections_inside_the_run(
+        self, tiny_subset, monkeypatch
+    ):
+        """The counter is live: a collection forced mid-run is counted."""
+        from repro.sim.gpu import GpuSimulator
+
+        run = GpuSimulator.run
+
+        def collecting_run(self, *args, **kwargs):
+            gc.collect()
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GpuSimulator, "run", collecting_run)
+        doc = perf.run_perf(quick=True, repeats=2, generated="t")
+        assert doc["runs"][0]["gc_collections"] == 2
 
     def test_repeats_keep_best(self, tiny_subset):
         doc = perf.run_perf(quick=True, repeats=2, generated="t")
@@ -114,6 +139,17 @@ class TestCliPerf:
         code = cli.main(["perf", "--quick", "--output", str(out)])
         assert code == 1
         assert "regression" in capsys.readouterr().err
+
+    def test_emitted_document_audits_ok(self, tiny_subset, tmp_path):
+        """``repro fsck`` classifies the emitted document (with its GC
+        counters) ``ok``."""
+        from repro.harness import fsck
+
+        out = tmp_path / "BENCH_perf.json"
+        assert cli.main(["perf", "--quick", "--output", str(out)]) == 0
+        assert "gc_collections" in json.loads(out.read_text())["runs"][0]
+        [finding] = fsck.audit([tmp_path]).findings
+        assert finding.status == "ok"
 
     def test_perf_stdout_only(self, tiny_subset, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

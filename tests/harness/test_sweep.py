@@ -7,8 +7,11 @@ simulations.
 """
 
 import dataclasses
+import gc
 import json
+import signal
 import time
+import weakref
 
 import pytest
 
@@ -27,7 +30,8 @@ from repro.harness.sweep import (
     build_result_cache,
     fingerprint,
 )
-from repro.sim.gpu import SimulationResult
+from repro.sim.core import Core
+from repro.sim.gpu import GpuSimulator, SimulationResult
 from repro.sim.stats import SimStats
 
 from tests.harness import faults
@@ -332,6 +336,71 @@ class TestProgressReporter:
         reporter.step()
         reporter.finish()
         assert stream.getvalue() == ""
+
+
+class TestOneResultShape:
+    """Engine results are stats-only on both dispatch paths, so the
+    runner's memo never pins a simulator graph; ``run_spec`` is the
+    entry point with live handles."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_results_are_stats_only(self, jobs):
+        specs = [make_spec("monte", scale=SCALE),
+                 make_spec("cell", hardware="stride_pc", scale=SCALE)]
+        outcomes = SweepEngine(jobs=jobs).run(specs)
+        for outcome in outcomes:
+            assert isinstance(outcome, SimulationResult)
+            assert outcome.cores is None and outcome.dram is None
+
+    @pytest.mark.parametrize("graceful", [True, False])
+    def test_inline_runs_keep_the_engine_signal_handlers(
+        self, graceful, monkeypatch
+    ):
+        """Only pool workers install the worker signal handlers; an
+        inline run sees the engine process's own dispositions."""
+        during = []
+        run = GpuSimulator.run
+
+        def observing_run(sim, *args, **kwargs):
+            during.append(signal.getsignal(signal.SIGTERM))
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(GpuSimulator, "run", observing_run)
+        before = signal.getsignal(signal.SIGTERM)
+        engine = SweepEngine(jobs=1, graceful_shutdown=graceful)
+        engine.run([make_spec("monte", scale=SCALE)])
+        expected = engine._handle_shutdown_signal if graceful else before
+        assert during == [expected]
+        assert signal.getsignal(signal.SIGTERM) == before
+
+    def test_run_spec_keeps_live_handles(self):
+        result = run_spec(make_spec("monte", scale=SCALE))
+        assert result.cores and result.dram is not None
+
+    def test_warmed_runner_holds_no_simulator(self, monkeypatch):
+        built = []
+        for cls in (GpuSimulator, Core):
+            monkeypatch.setattr(cls, "__init__", self._recording(cls, built))
+        runner = ExperimentRunner(scale=SCALE, jobs=1)
+        runner.warm([
+            {"benchmark": "monte"},
+            {"benchmark": "monte", "hardware": "stride_pc"},
+            {"benchmark": "cell", "software": "stride"},
+        ])
+        assert runner.cache_size() == 3
+        assert {cls for cls, _ in built} == {GpuSimulator, Core}
+        gc.collect()
+        assert [ref() for _, ref in built if ref() is not None] == []
+
+    @staticmethod
+    def _recording(cls, built):
+        init = cls.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((cls, weakref.ref(self)))
+
+        return recording_init
 
 
 class TestExperimentRunnerIntegration:
