@@ -129,7 +129,7 @@ class LeaseManager:
 
     One instance per :class:`~repro.harness.sweep.SweepEngine`; it tracks
     every lease the engine holds and renews them from a single daemon
-    thread, so both the inline path and every pooled run share one
+    thread, so inline and pooled runs alike share one
     renewal cadence (the engine's pid is in the record — exactly what a
     sibling needs to detect that a SIGKILLed engine's claims are dead).
 

@@ -84,7 +84,7 @@ class WorkloadMemo:
     software-prefetch config, so any change to either regenerates.  The
     memo is per-process by construction; pooled sweep workers each keep
     their own, and the sweep engine surfaces the counters it can see
-    (the inline path's) in its summary line.
+    (its inline runs') in its summary line.
     """
 
     def __init__(self, capacity: int = 8) -> None:

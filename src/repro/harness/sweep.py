@@ -121,6 +121,7 @@ from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Executor,
     Future,
     ProcessPoolExecutor,
     wait,
@@ -292,9 +293,9 @@ class RunFailure:
 
     Sweeps never die because one grid point did: the failure is returned
     in the run's output slot and the remaining runs proceed.  ``exception``
-    carries the original exception object when one is available (both the
-    inline path and the pool path preserve it), so strict callers can
-    re-raise it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
+    carries the original exception object when one is available (inline
+    and pooled runs both preserve it), so strict callers can re-raise
+    it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
     ``"timeout"``, ``"truncated"``, ``"invariant"``, ``"deadlock"``,
     ``"wedged"`` (heartbeat-silent worker killed by the supervisor),
     ``"memory-budget"``, ``"interrupted"``, ``"quarantined"`` (skipped —
@@ -777,10 +778,10 @@ class ProgressReporter:
 def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
     """Default worker: execute one spec, return its (picklable) stats.
 
-    Both dispatch paths call it, so every engine result is stats-only:
-    the simulator object graph (cores, DRAM) is dropped as soon as the
-    run ends, in a pool worker and inline alike.  ``run_spec`` is
-    imported lazily so ``runner`` -> ``sweep`` stays a one-way module
+    The one scheduler runs it in a pool worker or in process, so every
+    engine result is stats-only: the simulator object graph (cores,
+    DRAM) is dropped as soon as the run ends.  ``run_spec`` is imported
+    lazily so ``runner`` -> ``sweep`` stays a one-way module
     dependency.  Structured simulation failures (deadlock, truncation,
     invariant violations) pickle losslessly, diagnostic snapshot
     included.
@@ -798,9 +799,25 @@ def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
     return run_spec(spec, options=options).stats
 
 
+class _InlineExecutor(Executor):
+    """Runs each call in this process; ``submit`` returns a resolved future.
+
+    Only ``Exception`` is captured, so a second-signal ``KeyboardInterrupt``
+    or a ``SystemExit`` propagates at once.  ``shutdown`` is a no-op.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - fault isolation
+            future.set_exception(exc)
+        return future
+
+
 @dataclass
 class _PendingRun:
-    """Book-keeping for one spec attempt inside the pool scheduler."""
+    """Book-keeping for one spec attempt inside the sweep scheduler."""
 
     key: str
     spec: RunSpec
@@ -853,18 +870,18 @@ class SweepEngine:
     * With a cache attached, previously-completed runs (from any process,
       ever) are loaded instead of simulated; with a manifest attached,
       runs journaled by an interrupted sweep are replayed the same way.
-    * ``jobs <= 1`` — or a single miss — runs inline in this process (no
-      pool overhead); ``jobs >= 2`` uses a process pool.  Both paths
-      return stats-only :class:`SimulationResult` objects (``cores`` and
-      ``dram`` are ``None``), so memoized sweep results never pin a
-      simulator graph; call :func:`repro.harness.runner.run_spec` for
-      live handles.
+    * One scheduler loop runs every sweep, on a process pool for
+      ``jobs >= 2`` and several misses, else on a one-slot in-process
+      executor (no pool overhead).  Results are stats-only
+      :class:`SimulationResult` objects (``cores`` and ``dram`` are
+      ``None``), so memoized sweep results never pin a simulator graph;
+      call :func:`repro.harness.runner.run_spec` for live handles.
     * Results are returned in input order, one outcome per input spec,
       each either a :class:`SimulationResult` or a :class:`RunFailure`.
 
     Args:
         cache: Persistent result cache, or ``None``.
-        jobs: Worker processes (1 = inline).
+        jobs: Worker processes (1 = in this process).
         timeout: **Per-run** wall-clock deadline in seconds for pooled
             runs.  A run exceeding it is recorded as a ``timeout``
             failure; other runs are unaffected.  Inline runs cannot be
@@ -1008,7 +1025,7 @@ class SweepEngine:
         self.interrupted = False  # the last run() ended in a shutdown
         self._sweep_failures = 0  # per-run() failure count for max_failures
         # Trace-memo traffic observed by this engine's process during
-        # run() (the inline path; pooled workers keep their own memos).
+        # run() (inline runs; pooled workers keep their own memos).
         self.trace_memo_hits = 0
         self.trace_memo_misses = 0
 
@@ -1075,23 +1092,10 @@ class SweepEngine:
 
             misses = [(k, s) for k, s in unique.items() if k not in outcomes]
             if misses:
-                try:
-                    if self.graceful_shutdown and supervise.shutdown_requested():
-                        self.interrupted = True
-                    elif self.jobs <= 1 or len(misses) == 1:
-                        self._run_inline(misses, outcomes)
-                    else:
-                        self._run_pool(misses, outcomes)
-                finally:
-                    if self.leases is not None:
-                        # Backstop for abort/shutdown paths: a spec we
-                        # never finished must become claimable again
-                        # immediately, not after the grace period.
-                        self.leases.release_all()
+                self._dispatch(misses, outcomes)
             self.trace_memo_hits += WORKLOAD_MEMO.hits - memo_base[0]
             self.trace_memo_misses += WORKLOAD_MEMO.misses - memo_base[1]
-            if self.graceful_shutdown and supervise.shutdown_requested():
-                self.interrupted = True
+            self.interrupted = self._stopping()
             if self.interrupted:
                 self._finalize_interrupted(unique, outcomes)  # raises
             if self.manifest is not None and misses:
@@ -1131,6 +1135,10 @@ class SweepEngine:
         finally:
             for sig, old in previous.items():
                 signal.signal(sig, old)
+
+    def _stopping(self) -> bool:
+        """True once a shutdown was requested and this engine honors it."""
+        return self.graceful_shutdown and supervise.shutdown_requested()
 
     def _handle_shutdown_signal(self, signum: int, frame: object) -> None:
         """First SIGTERM/SIGINT requests a drain; the second forces exit."""
@@ -1237,12 +1245,6 @@ class SweepEngine:
     # Work-claim coordination
     # ------------------------------------------------------------------
 
-    def _lease_poll_interval(self) -> float:
-        """Seconds between cache/lease polls for a deferred spec."""
-        if self.leases is None:
-            return 0.25
-        return min(max(self.leases.grace / 5.0, 0.05), 0.5)
-
     def _claim(self, key: str) -> bool:
         """True when this sweep may execute ``key`` now.
 
@@ -1306,12 +1308,6 @@ class SweepEngine:
         return "wait"
 
     # ------------------------------------------------------------------
-
-    def _aborted(self) -> bool:
-        return (
-            self.max_failures is not None
-            and self._sweep_failures >= self.max_failures
-        )
 
     def _record_success(
         self, key: str, spec: RunSpec, result: SimulationResult,
@@ -1452,80 +1448,6 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_inline(
-        self, misses: Sequence, outcomes: Dict[str, Outcome]
-    ) -> None:
-        pending: deque = deque(misses)
-        waiting: deque = deque()  # (key, spec, earliest-next-poll monotonic)
-        deferred_keys: set = set()  # ever parked behind a sibling's lease
-        poll = self._lease_poll_interval()
-        while pending or waiting:
-            if self.graceful_shutdown and supervise.shutdown_requested():
-                self.interrupted = True
-                return
-            if self._aborted():
-                self._record_aborted(
-                    list(pending) + [(k, s) for k, s, _ in waiting], outcomes
-                )
-                return
-            if not pending:
-                # Everything left is parked behind a sibling's lease:
-                # poll the cache/lease state on the poll cadence.
-                key, spec, next_poll = waiting.popleft()
-                delay = next_poll - time.monotonic()
-                if delay > 0:
-                    # Capped so shutdown requests stay responsive.
-                    time.sleep(min(0.25, delay))
-                    waiting.appendleft((key, spec, next_poll))
-                    continue
-                state = self._poll_deferred(key, outcomes)
-                if state == "wait":
-                    waiting.append((key, spec, time.monotonic() + poll))
-                elif state == "reclaim":
-                    pending.append((key, spec))
-                continue
-            key, spec = pending.popleft()
-            if not self._claim(key):
-                if key not in deferred_keys:
-                    deferred_keys.add(key)
-                    self.lease_deferred += 1
-                waiting.append((key, spec, time.monotonic() + poll))
-                continue
-            if self._claimed_cache_hit(key, outcomes, key in deferred_keys):
-                continue
-            attempt = 0
-            while True:
-                try:
-                    result = SimulationResult(self.worker(spec, self.options))
-                except Exception as exc:  # noqa: BLE001 - fault isolation
-                    if (
-                        isinstance(exc, WorkerInterrupted)
-                        and self.graceful_shutdown
-                        and supervise.shutdown_requested()
-                    ):
-                        # The run checkpointed and bowed out; leave it
-                        # unrecorded so a resumed sweep re-executes it.
-                        # (run() releases the claim via release_all.)
-                        self.interrupted = True
-                        return
-                    if is_transient_failure(exc) and attempt < self.retries:
-                        attempt += 1
-                        self.retried += 1
-                        if self.retry_backoff:
-                            time.sleep(self.retry_backoff * 2 ** (attempt - 1))
-                        continue
-                    self._record_failure(
-                        key, spec, "exception", exc, outcomes,
-                        attempts=attempt + 1,
-                    )
-                else:
-                    self._record_success(
-                        key, spec, result, outcomes, attempts=attempt + 1
-                    )
-                break
-
-    # ------------------------------------------------------------------
-
     def _heartbeat_path(self, run: _PendingRun) -> Path:
         """Canonical heartbeat file for a pending run."""
         return supervise.heartbeat_path_for(
@@ -1572,17 +1494,20 @@ class SweepEngine:
                 except (ProcessLookupError, PermissionError, OSError):
                     pass
 
-    def _run_pool(
+    def _dispatch(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
     ) -> None:
-        """Pooled execution with per-run deadlines, supervision, retries.
+        """The one sweep scheduler: claims, retries, deadlines, supervision.
 
-        A hung run only costs its own slot: its future is abandoned at
-        the deadline and the slot written off.  When every slot of the
-        current executor is written off (or the pool breaks), a fresh
-        executor takes over the remaining work.  All executors are shut
-        down without waiting at the end, so orphaned workers die on
-        their own without stalling the sweep.
+        ``jobs >= 2`` with several misses runs on a process pool; else a
+        one-slot :class:`_InlineExecutor` runs (and journals) one spec at
+        a time in this process, where deadlines and supervision cannot
+        apply.  A hung pooled run only costs its own slot: its future is
+        abandoned at the deadline and the slot written off.  When every
+        slot is written off (or the pool breaks), a fresh executor takes
+        over the remaining work.  All executors are shut down without
+        waiting at the end, so orphaned workers die on their own without
+        stalling the sweep.
 
         With ``heartbeat_interval`` set, workers additionally write
         liveness heartbeats and a heartbeat-silent run is killed (by the
@@ -1597,9 +1522,9 @@ class SweepEngine:
         seconds to finish (results recorded) or bow out with
         ``WorkerInterrupted`` (left unrecorded, hence resumed later).
         """
-        max_workers = min(self.jobs, len(misses))
-        executors: List[ProcessPoolExecutor] = []
-        executor: Optional[ProcessPoolExecutor] = None
+        pooled = self.jobs > 1 and len(misses) > 1
+        max_workers = min(self.jobs, len(misses)) if pooled else 1
+        executors: List[Executor] = []
         lost_slots = 0
         options = self.options
         # With a checkpoint directory set, every worker checkpoints its
@@ -1607,7 +1532,7 @@ class SweepEngine:
         # snapshot — which makes deadline hits worth retrying.
         resumable = options.checkpoint_dir is not None
 
-        supervising = self.heartbeat_interval is not None
+        supervising = pooled and self.heartbeat_interval is not None
         own_heartbeat_dir = False
         if supervising:
             if self.heartbeat_dir is None:
@@ -1628,9 +1553,13 @@ class SweepEngine:
             )
         kill_window_until = 0.0
 
-        def fresh_executor() -> ProcessPoolExecutor:
+        def fresh_executor() -> Executor:
             nonlocal lost_slots
-            ex = ProcessPoolExecutor(max_workers=max_workers)
+            ex = (
+                ProcessPoolExecutor(max_workers=max_workers)
+                if pooled
+                else _InlineExecutor()
+            )
             executors.append(ex)
             lost_slots = 0
             return ex
@@ -1639,7 +1568,10 @@ class SweepEngine:
         work: deque = deque(_PendingRun(key, spec) for key, spec in misses)
         running: Dict[Future, _PendingRun] = {}
         waiting: List[_PendingRun] = []  # parked behind a sibling's lease
-        lease_poll = self._lease_poll_interval()
+        lease_poll = 0.0  # specs park behind a lease only with leases on
+        if self.leases is not None:
+            # Seconds between cache/lease polls for a parked spec.
+            lease_poll = min(max(self.leases.grace / 5.0, 0.05), 0.5)
 
         def submit(run: _PendingRun) -> None:
             nonlocal executor
@@ -1668,16 +1600,18 @@ class SweepEngine:
         drain_deadline = 0.0
         try:
             while work or running or waiting:
-                if self.graceful_shutdown and supervise.shutdown_requested():
+                if self._stopping():
                     if not draining:
                         draining = True
                         drain_deadline = time.monotonic() + self.drain_timeout
                         self._relay_shutdown(running)
                     if not running or time.monotonic() >= drain_deadline:
-                        self.interrupted = True
-                        return
+                        return  # run() sees the request and interrupts
                 if not draining:
-                    if self._aborted():
+                    if (
+                        self.max_failures is not None
+                        and self._sweep_failures >= self.max_failures
+                    ):
                         for future in running:
                             future.cancel()
                         self._record_aborted(
@@ -1747,9 +1681,6 @@ class SweepEngine:
                             continue
                         if work and capacity == 0:
                             executor = fresh_executor()
-                            continue
-                        if not work and not waiting:
-                            break
                         continue
                 # Wait for a completion, the earliest deadline, or the
                 # earliest retry gate — whichever comes first.  With
@@ -1785,10 +1716,12 @@ class SweepEngine:
                     try:
                         stats = future.result()
                     except Exception as exc:  # noqa: BLE001 - fault isolation
-                        if isinstance(exc, WorkerInterrupted) and draining:
-                            # The worker checkpointed and bowed out; the
-                            # run stays unrecorded (pending), so a resume
-                            # with the same manifest re-executes it.
+                        if isinstance(exc, WorkerInterrupted) and (
+                            draining or self._stopping()
+                        ):
+                            # The run checkpointed and bowed out (inline,
+                            # before the loop top drains): left pending so
+                            # a resume with the manifest re-executes it.
                             continue
                         if (
                             not draining
@@ -1910,6 +1843,11 @@ class SweepEngine:
                 # Never block on hung workers; orphaned runs finish (or
                 # die) on their own without affecting us.
                 ex.shutdown(wait=False, cancel_futures=True)
+            if self.leases is not None:
+                # Backstop for abort/shutdown paths: a spec we never
+                # finished must become claimable again immediately, not
+                # after the grace period.
+                self.leases.release_all()
             if own_heartbeat_dir:
                 shutil.rmtree(self.heartbeat_dir, ignore_errors=True)
                 self.heartbeat_dir = None

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import supervise
+from repro.harness.coordinate import lease_dir_for
 from repro.harness.runner import ExperimentRunner, make_spec, run_spec
 from repro.harness.sweep import (
     ProgressReporter,
@@ -652,6 +653,28 @@ def _shutdown_after_first_worker(spec, options):
     return faults._stats_for(spec)
 
 
+def _shutdown_then_transient_failure(spec, options):
+    """Request a graceful shutdown, then fail with a retryable error."""
+    faults.record_attempt(spec)
+    supervise.request_shutdown()
+    raise OSError("transient failure after a shutdown request")
+
+
+def _interrupted_by_shutdown(spec, options):
+    """Bow out the way the run sentinel does after a shutdown request."""
+    faults.record_attempt(spec)
+    supervise.request_shutdown()
+    raise WorkerInterrupted("graceful shutdown requested", snapshot={})
+
+
+def _second_signal_on_monte(spec, options):
+    """Raise the second-signal ``KeyboardInterrupt`` inside a monte run."""
+    faults.record_attempt(spec)
+    if spec.benchmark == "monte":
+        raise KeyboardInterrupt("second shutdown signal")
+    return faults._stats_for(spec)
+
+
 class TestGracefulShutdown:
     def test_second_signal_forces_immediate_exit(self):
         engine = SweepEngine(jobs=1)
@@ -713,6 +736,58 @@ class TestGracefulShutdown:
             engine.run([spec_for("monte")])
         assert excinfo.value.done == 0
         assert faults.attempts_made(spec_for("monte")) == 0
+
+    def test_shutdown_during_inline_retry_backoff_stops_promptly(
+        self, fault_dir
+    ):
+        """A shutdown request ends the backoff wait; no retry follows."""
+        spec = spec_for("monte")
+        engine = SweepEngine(
+            jobs=1, worker=_shutdown_then_transient_failure,
+            retry_backoff=20.0,
+        )
+        started = time.monotonic()
+        with pytest.raises(SweepInterrupted):
+            engine.run([spec])
+        assert time.monotonic() - started < 5.0
+        assert faults.attempts_made(spec) == 1
+
+    def test_inline_run_that_bows_out_stays_pending(
+        self, fault_dir, tmp_path
+    ):
+        """An inline ``WorkerInterrupted`` arrives before the loop drains;
+        it must leave the run pending, not record a failure."""
+        manifest_path = tmp_path / "sweep.jsonl"
+        specs = [spec_for("monte"), spec_for("cell")]
+        engine = SweepEngine(
+            jobs=1, worker=_interrupted_by_shutdown, manifest=manifest_path,
+        )
+        with pytest.raises(SweepInterrupted) as excinfo:
+            engine.run(specs)
+        assert excinfo.value.done == 0 and excinfo.value.pending == 2
+        assert engine.failures == 0
+        assert faults.attempts_made(specs[1]) == 0
+        journal = SweepManifest(manifest_path).load()
+        assert set(journal) == {"__sweep__"}
+
+    def test_second_signal_in_an_inline_run_exits_at_once(
+        self, fault_dir, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        manifest_path = tmp_path / "sweep.jsonl"
+        specs = [spec_for("monte"), spec_for("cell")]
+        engine = SweepEngine(
+            cache=cache, jobs=1, worker=_second_signal_on_monte,
+            manifest=manifest_path,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(specs)
+        assert faults.attempts_made(specs[0]) == 1
+        assert faults.attempts_made(specs[1]) == 0
+        assert engine.failures == 0
+        assert SweepManifest(manifest_path).load() == {}
+        lease_dir = lease_dir_for(cache.root)
+        assert not [p for p in lease_dir.rglob("*") if p.is_file()]
 
     def test_graceful_shutdown_off_ignores_the_flag(self, fault_dir):
         supervise.request_shutdown()

@@ -297,11 +297,17 @@ class TestFaultIsolation:
         engine.run([self.bad_spec()])
         assert len(cache) == 0
 
-    def test_stalled_run_times_out(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stalled_run_times_out(self, jobs):
+        """Pooled runs fail at their deadline; inline runs ignore it."""
         specs = [make_spec("monte", scale=SCALE),
                  make_spec("cell", scale=SCALE)]
-        engine = SweepEngine(jobs=2, timeout=0.05, worker=_sleepy_worker)
+        engine = SweepEngine(jobs=jobs, timeout=0.05, worker=_sleepy_worker)
         outcomes = engine.run(specs)
+        if jobs == 1:
+            assert all(isinstance(o, SimulationResult) for o in outcomes)
+            assert engine.failures == 0
+            return
         assert all(isinstance(o, RunFailure) for o in outcomes)
         assert {o.kind for o in outcomes} == {"timeout"}
         assert engine.failures == 2
