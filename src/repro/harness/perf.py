@@ -23,7 +23,8 @@ Document schema (``PERF_SCHEMA``)::
       "runs": [{"benchmark": ..., "hardware": ..., "software": ...,
                 "throttle": ..., "scale": ..., "cycles": ...,
                 "wall_seconds": ..., "sim_cycles_per_sec": ...,
-                "gc_collections": ...}, ...],
+                "gc_collections": ..., "issue_attempts": ...,
+                "dram_channel_steps": ..., "dram_picks": ...}, ...],
       "totals": {"cycles": ..., "wall_seconds": ...,
                  "sim_cycles_per_sec": ..., "peak_rss_kb": ...},
       "history": [{"label": ..., "generated": ..., "totals": {...}}, ...]
@@ -103,6 +104,11 @@ def peak_rss_kb() -> int:
 def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
     """Run one spec ``repeats`` times; report the best (min-wall) timing.
 
+    ``issue_attempts``, ``dram_channel_steps`` and ``dram_picks`` are the
+    profiler's work counters for one run: exact for a fixed spec, so a
+    change in the simulator's algorithmic work moves them
+    deterministically, unlike the wall time.
+
     ``gc_collections`` counts the cyclic collections that ran inside
     the ``_simulate`` calls, summed over the repeats.  It is the
     ``gc.get_stats()`` collection delta over exactly those calls, read
@@ -144,6 +150,9 @@ def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
         "wall_seconds": round(best.wall_seconds, 6),
         "sim_cycles_per_sec": round(best.sim_cycles_per_sec, 1),
         "gc_collections": collections,
+        "issue_attempts": best.counts["issue_attempts"],
+        "dram_channel_steps": best.counts["dram_channel_steps"],
+        "dram_picks": best.counts["dram_picks"],
     }
 
 

@@ -76,9 +76,12 @@ class WorkloadMemo:
     and 0 hits, so there the memo only costs a digest per run.  Workloads
     are immutable once generated: the simulator builds fresh
     :class:`~repro.sim.warp.Warp` objects around the shared instruction
-    streams and never writes to a stream or a block tuple, so one
-    :class:`~repro.trace.tracegen.Workload` can safely back any number
-    of (even concurrent) simulations in this process.
+    streams and never writes to a stream, a record or a block tuple, so
+    one :class:`~repro.trace.tracegen.Workload` can safely back any
+    number of (even concurrent) simulations in this process.  The same
+    immutability lets trace generation share records inside a workload:
+    each distinct run of compute records is built once and appears in
+    the stream of every warp that executes it.
 
     Entries are keyed by a digest of the full kernel spec plus the
     software-prefetch config, so any change to either regenerates.  The

@@ -63,17 +63,22 @@ class Core:
         # tests a cached flag instead of chasing config attributes.
         self._rr_enabled = config.core.scheduler != "oldest"
         # Sleep/wake scheduling state, driven by try_issue and consumed by
-        # the GPU main loop: a core whose issue attempt fails for a reason
-        # that cannot resolve by itself goes to sleep, and the loop skips
-        # its warp scan until ``wake_cycle`` passes or an external event
-        # (response, block dispatch, store freed at injection) sets
-        # ``woken``.  ``sleep_credit`` marks sleeps entered from a failed
-        # full scan, whose skipped polls must still accrue stall_cycles
-        # exactly as the polled scan would have.
+        # the GPU main loop: a core that has just issued, or whose issue
+        # attempt failed for a reason that cannot resolve by itself, goes
+        # to sleep, and the loop skips its warp scan until ``wake_cycle``
+        # passes or an external event sets ``woken``: a block dispatch, a
+        # store freed at injection, or a response that completes a
+        # waiter's token (any response while ``room_blocked``: the last
+        # failed scan had a warp stalled on MRQ room).  ``sleep_credit``
+        # marks sleeps entered from a failed full scan, whose skipped
+        # polls must still accrue stall_cycles exactly as the polled scan
+        # would have.  ``room_blocked`` is derived state: it starts True
+        # (wake on every response) until a scan recomputes it.
         self.asleep = False
         self.wake_cycle: Optional[int] = None
         self.sleep_credit = False
         self.woken = False
+        self.room_blocked = True
         self.mrq.owner_core = self
         # Count of resident warps that have not finished their stream,
         # maintained by assign/issue so :attr:`drained` is O(1) — the GPU
@@ -90,6 +95,8 @@ class Core:
             Op.STORE: config.core.issue_cycles_default,
             Op.PREFETCH: config.core.issue_cycles_default,
         }
+        # try_issue calls (profiler ``issue_attempts``; not serialized).
+        self.issue_attempts = 0
         # Statistics (run totals).
         self.instructions = 0
         self.prefetch_instructions = 0
@@ -190,13 +197,19 @@ class Core:
         future cycle worth re-attempting at (None when only an external
         event — a memory response — can unblock the core).
 
-        Every call also refreshes the sleep/wake state: a failure whose
-        outcome is provably stable until ``retry_cycle`` or an external
-        wake event puts the core to sleep.  A failed scan that touched
-        :meth:`_issue_chunk` is *not* sleep-eligible — its probe has
-        per-poll side effects (prefetch-cache miss and MRQ full-rejection
-        counters) that must keep accruing each polled cycle.
+        Every call also refreshes the sleep/wake state.  A core that
+        issued sleeps until its port frees: every poll before then takes
+        the busy-port path.  A failure whose outcome is provably stable
+        until ``retry_cycle`` or an external wake event also puts the
+        core to sleep.  A failed scan that touched :meth:`_issue_chunk`
+        is *not* sleep-eligible — its probe has per-poll side effects
+        (prefetch-cache miss and MRQ full-rejection counters) that must
+        keep accruing each polled cycle.  The scan skips warps marked
+        ``blocked`` (next instruction waiting on a load token that has
+        not completed since the mark); such a warp's ``ready_cycle`` is
+        already past, so skipping it cannot change ``retry_cycle``.
         """
+        self.issue_attempts += 1
         if self.port_free_cycle > cycle:
             # The busy port blocks all issue until it frees, whatever else
             # happens in between; no stall is charged on this path.
@@ -209,14 +222,15 @@ class Core:
         warps = self.warps
         num_warps = len(warps)
         if num_warps == 0:
-            # Nothing resident: only a block dispatch (or a straggler
-            # response) changes anything, and both set ``woken``.
+            # Nothing resident: only a block dispatch changes anything,
+            # and it sets ``woken``.
             self.asleep = True
             self.wake_cycle = None
             self.sleep_credit = False
             self.woken = False
             return False, None
         impure = False
+        room_blocked = False
         min_ready: Optional[int] = None
         index = self._rr_index
         for _ in range(num_warps):
@@ -224,7 +238,7 @@ class Core:
                 index -= num_warps
             warp = warps[index]
             index += 1
-            if warp.finished:
+            if warp.blocked or warp.finished:
                 continue
             ready_cycle = warp.ready_cycle
             if ready_cycle > cycle:
@@ -234,30 +248,26 @@ class Core:
             inst = warp.stream[warp.pc_index]
             wait = inst.wait_tokens
             if wait and not warp.tokens_done.issuperset(wait):
+                warp.blocked = True
                 continue
             if warp.line_offset > 0:
                 # A chunked issue is in progress: the all-at-once room
                 # check must not run (completed early chunks would make
                 # the instruction look re-issuable from scratch).
                 if self._issue_chunk(warp, inst, cycle):
-                    if self._rr_enabled:
-                        self._rr_index = index if index < num_warps else 0
-                    return True, None
-                impure = True
+                    break
+                impure = room_blocked = True
                 continue
             if inst.global_memory and not self._mrq_has_room(inst):
                 if inst.op != Op.PREFETCH:
+                    room_blocked = True
                     if self._mrq_new_lines(inst) > self.mrq.size:
                         # The instruction alone needs more MRQ entries
                         # than exist: the all-at-once check can never
                         # pass and stalling here would deadlock.  Issue
                         # it in chunks instead.
                         if self._issue_chunk(warp, inst, cycle):
-                            if self._rr_enabled:
-                                self._rr_index = (
-                                    index if index < num_warps else 0
-                                )
-                            return True, None
+                            break
                         impure = True
                     # Structural stall: MRQ space frees when a response
                     # arrives (an external event), but responses are only
@@ -267,19 +277,27 @@ class Core:
                 # the prefetch instruction retires, its requests are
                 # dropped.
             self._issue(warp, inst, cycle)
-            if self._rr_enabled:
-                self._rr_index = index if index < num_warps else 0
-            return True, None
-        self.stall_cycles += 1
-        if not impure:
-            # The failed scan was side-effect free, so its outcome cannot
-            # change before min_ready or an external wake event; skipped
-            # polls accrue stall_cycles via sleep_credit.
-            self.asleep = True
-            self.wake_cycle = min_ready
-            self.sleep_credit = True
-            self.woken = False
-        return False, min_ready
+            break
+        else:
+            self.stall_cycles += 1
+            self.room_blocked = room_blocked
+            if not impure:
+                # The failed scan was side-effect free, so its outcome
+                # cannot change before min_ready or an external wake
+                # event; skipped polls accrue stall_cycles via
+                # sleep_credit.
+                self.asleep = True
+                self.wake_cycle = min_ready
+                self.sleep_credit = True
+                self.woken = False
+            return False, min_ready
+        if self._rr_enabled:
+            self._rr_index = index if index < num_warps else 0
+        self.asleep = True
+        self.wake_cycle = self.port_free_cycle
+        self.sleep_credit = False
+        self.woken = False
+        return True, None
 
     def _mrq_new_lines(self, inst: WarpInstruction) -> int:
         """Distinct lines of ``inst`` needing a fresh MRQ entry right now."""
@@ -511,16 +529,25 @@ class Core:
     # ------------------------------------------------------------------
 
     def on_response(self, request: MemoryRequest, cycle: int) -> None:
-        """A line arrived from memory: wake waiters, fill prefetch cache."""
-        self.woken = True
+        """A line arrived from memory: wake waiters, fill prefetch cache.
+
+        The core is woken only when the response can change its next
+        scan: a waiter's token completed, or the last failed scan had a
+        warp stalled on MRQ room (the freed entry and the fill can make
+        room).
+        """
         entry = self.mrq.complete(request.line_addr)
         if entry is None:
             return
         if entry.is_demand or entry.late_prefetch:
             self.demand_latency_sum += cycle - entry.create_cycle
             self.demand_latency_count += 1
+        wake = self.room_blocked
         for warp, token in entry.waiters:
-            warp.line_complete(token)
+            if warp.line_complete(token):
+                wake = True
+        if wake:
+            self.woken = True
         if entry.was_prefetch:
             if entry.late_prefetch:
                 self.late_prefetches += 1
@@ -647,6 +674,7 @@ class Core:
         self.wake_cycle = state.get("wake_cycle")
         self.sleep_credit = state.get("sleep_credit", False)
         self.woken = state.get("woken", False)
+        self.room_blocked = True
         self.mrq.load_state_dict(state["mrq"], requests)
         self.pcache.load_state_dict(state["pcache"])
         if self.prefetcher is not None and state["prefetcher"] is not None:

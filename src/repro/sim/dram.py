@@ -14,16 +14,21 @@ bus serializes one 64B burst per ``burst_cycles``; bank preparation
 (precharge/activate) overlaps with earlier bursts.
 
 Two pick implementations coexist.  The *indexed* scheduler (default)
-maintains per-priority-class arrival heaps plus per-(bank, row) open-row
-buckets so each pick inspects at most ``banks_per_channel`` bucket heads
-instead of scanning the whole request buffer; late-prefetch promotions
-are pushed eagerly into the demand index by a hook on
+maintains, per priority class, an arrival heap and an open-row hit heap,
+so each pick inspects two heap heads instead of scanning the whole
+request buffer; late-prefetch promotions are pushed eagerly into the
+demand index by a hook on
 :meth:`~repro.sim.memory_request.MemoryRequest.merge_demand`.  The
 original linear scan is retained behind
 ``DramConfig.reference_scheduler`` as the differential reference the
 diffcheck oracle and the property tests compare against.  Both paths key
 ties by ``BufferEntry.seq`` (per-channel insertion order), which equals
 the old pending-list scan order, so decisions are bit-identical.
+
+Each channel also caches ``due``, the earliest cycle at which
+:meth:`DramChannel.step` can do anything, and :class:`Dram` keeps the
+minimum over its channels, so the simulator steps only channels that
+are due and an iteration with none due costs one compare.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ _seq = itertools.count()
 #: Shared immutable "nothing completed" result, so the common idle-channel
 #: step does not allocate a fresh list per channel per eventful cycle.
 _NO_ENTRIES: Tuple[()] = ()
+
+#: ``due`` / ``head_ready`` value meaning "no event": later than any cycle.
+_NEVER = 1 << 62
 
 
 def advance_seq(floor: int) -> None:
@@ -188,20 +196,33 @@ class DramChannel:
         self.pending: Dict[int, BufferEntry] = {}
         self._by_line: Dict[int, BufferEntry] = {}
         self._completing: List[Tuple[int, int, BufferEntry]] = []
-        # Indexed-scheduler state.  Each heap holds (seq, entry) with lazy
-        # deletion: an entry is live in the demand heaps iff it is still
-        # queued, and live in the other heaps iff it is queued and has not
-        # been promoted to the demand class.  Row buckets are keyed by
-        # (bank, row) so an open-row change re-targets lookups for free.
+        # Indexed-scheduler state (derived: rebuilt on restore, never
+        # serialized).  Each heap holds (seq, entry) with lazy deletion:
+        # an entry is live in the demand heaps iff it is still queued,
+        # and live in the other heaps iff it is queued and has not been
+        # promoted to the demand class.  A hit-heap entry is live only
+        # while its row is also open; ``_rows`` holds every queued entry
+        # by (bank, row), so opening a row pushes that row's entries.
         self._entry_seq = 0
         self._demand_all: List[Tuple[int, BufferEntry]] = []
-        self._demand_rows: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]] = {}
+        self._demand_hits: List[Tuple[int, BufferEntry]] = []
         self._other_all: List[Tuple[int, BufferEntry]] = []
-        self._other_rows: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]] = {}
+        self._other_hits: List[Tuple[int, BufferEntry]] = []
+        self._rows: Dict[Tuple[int, int], Dict[int, BufferEntry]] = {}
         self._dp = config.demand_priority
         self._reference = config.reference_scheduler
         self.bus_busy_until = 0
         self.next_pick_cycle = 0
+        # Wake state (derived).  ``_head_seq`` is the seq of the oldest
+        # pending entry and ``head_ready`` its ready cycle (``_NEVER``
+        # when nothing is pending); ``ready_cycle`` is non-decreasing in
+        # ``seq``, so a pick finds nothing exactly when that entry is not
+        # ready yet.  ``due`` is the earliest cycle at which :meth:`step`
+        # can pick or complete anything; stepping at any earlier cycle is
+        # a no-op.
+        self._head_seq = 0
+        self.head_ready = _NEVER
+        self.due = _NEVER
         if config.l2_size_bytes > 0:
             from repro.sim.caches import SetAssociativeCache
 
@@ -217,6 +238,10 @@ class DramChannel:
         self.inter_core_merges = 0
         self.l2_hits = 0
         self.l2_misses = 0
+        # Work counters (profiler ``dram_channel_steps`` / ``dram_picks``;
+        # not serialized).
+        self.steps = 0
+        self.picks = 0
 
     def arrive(self, request: MemoryRequest, bank: int, row: int, cycle: int) -> None:
         """Accept a request from the interconnect, merging when possible."""
@@ -237,14 +262,13 @@ class DramChannel:
         if self.l2 is not None and not request.is_store:
             if self.l2.lookup(request.line_addr) is not None:
                 self.l2_hits += 1
+                done = cycle + self.config.l2_latency
                 entry = BufferEntry(
-                    request.line_addr, bank, row, request, cycle,
-                    cycle + self.config.l2_latency,
+                    request.line_addr, bank, row, request, cycle, done
                 )
-                heapq.heappush(
-                    self._completing,
-                    (cycle + self.config.l2_latency, next(_seq), entry),
-                )
+                heapq.heappush(self._completing, (done, next(_seq), entry))
+                if done < self.due:
+                    self.due = done
                 return
             self.l2_misses += 1
         ready = cycle + self.config.pipeline_latency
@@ -254,6 +278,7 @@ class DramChannel:
             request.dram_entry = entry
         if not entry.is_store:
             self._by_line[request.line_addr] = entry
+        self._refresh_due()
 
     def _enqueue(self, entry: BufferEntry) -> None:
         """Add an entry to the pending buffer and the scheduling index."""
@@ -262,15 +287,25 @@ class DramChannel:
         entry.seq = seq
         entry.queued = True
         entry.owner = self
+        if not self.pending:
+            self._head_seq = seq
+            self.head_ready = entry.ready_cycle
         self.pending[seq] = entry
-        item = (seq, entry)
         key = (entry.bank, entry.row)
+        bucket = self._rows.get(key)
+        if bucket is None:
+            bucket = self._rows[key] = {}
+        bucket[seq] = entry
+        item = (seq, entry)
+        row_open = self.banks[entry.bank].open_row == entry.row
         if entry.demand and self._dp:
             heapq.heappush(self._demand_all, item)
-            heapq.heappush(self._demand_rows.setdefault(key, []), item)
+            if row_open:
+                heapq.heappush(self._demand_hits, item)
         else:
             heapq.heappush(self._other_all, item)
-            heapq.heappush(self._other_rows.setdefault(key, []), item)
+            if row_open:
+                heapq.heappush(self._other_hits, item)
 
     def promote(self, entry: BufferEntry) -> None:
         """Move a buffered entry into the demand priority class.
@@ -287,9 +322,8 @@ class DramChannel:
             return
         item = (entry.seq, entry)
         heapq.heappush(self._demand_all, item)
-        heapq.heappush(
-            self._demand_rows.setdefault((entry.bank, entry.row), []), item
-        )
+        if self.banks[entry.bank].open_row == entry.row:
+            heapq.heappush(self._demand_hits, item)
 
     def _pick_reference(self, cycle: int) -> Optional[BufferEntry]:
         """Linear-scan pick: demand > row-hit > oldest (reference impl).
@@ -330,7 +364,7 @@ class DramChannel:
     def _best_in_class(
         self,
         all_heap: List[Tuple[int, BufferEntry]],
-        row_buckets: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]],
+        hit_heap: List[Tuple[int, BufferEntry]],
         cycle: int,
         demand_class: bool,
         pop: heapq.heappop = heapq.heappop,  # type: ignore[assignment]
@@ -341,11 +375,12 @@ class DramChannel:
         exists, else the oldest ready entry.  Both reductions exploit that
         ``ready_cycle`` is non-decreasing in ``seq`` (every pending entry's
         ready cycle is its arrival plus the constant pipeline latency), so
-        an unready heap head proves the whole heap unready.
+        an unready heap head proves the whole heap unready, and the oldest
+        row hit is also the earliest-ready one.
         """
         dp = self._dp
         while all_heap:
-            seq, entry = all_heap[0]
+            entry = all_heap[0][1]
             if entry.queued and (not dp or entry.demand == demand_class):
                 break
             pop(all_heap)
@@ -354,81 +389,112 @@ class DramChannel:
         head = all_heap[0][1]
         if head.ready_cycle > cycle:
             return None  # oldest entry unready => whole class unready
-        if self.banks[head.bank].open_row == head.row:
+        banks = self.banks
+        if banks[head.bank].open_row == head.row:
             # Oldest entry in the class is itself a row hit: unbeatable.
             return head
-        # Oldest ready row hit across the currently-open rows; any row hit
-        # outranks the (row-miss) class head regardless of age.
-        best_seq = None
-        best = None
-        for bank_index, bank in enumerate(self.banks):
-            row = bank.open_row
-            if row is None:
-                continue
-            key = (bank_index, row)
-            bucket = row_buckets.get(key)
-            if bucket is None:
-                continue
-            while bucket:
-                seq, entry = bucket[0]
-                if entry.queued and (not dp or entry.demand == demand_class):
-                    break
-                pop(bucket)
-            if not bucket:
-                del row_buckets[key]
-                continue
-            seq, entry = bucket[0]
-            if (best_seq is None or seq < best_seq) and entry.ready_cycle <= cycle:
-                best_seq = seq
-                best = entry
-        # A ready row hit beats every row miss; otherwise the class head
-        # (ready, oldest, necessarily a row miss here) wins.
-        return best if best is not None else head
+        # Oldest row hit across the currently-open rows: if ready it
+        # outranks the (row-miss) class head regardless of age; if not,
+        # no row hit is ready and the class head wins.
+        while hit_heap:
+            entry = hit_heap[0][1]
+            if (
+                entry.queued
+                and (not dp or entry.demand == demand_class)
+                and banks[entry.bank].open_row == entry.row
+            ):
+                return entry if entry.ready_cycle <= cycle else head
+            pop(hit_heap)
+        return head
 
     def _pick_indexed(self, cycle: int) -> Optional[BufferEntry]:
         """Index-driven pick, decision-identical to :meth:`_pick_reference`.
 
-        Inspects at most one heap head per bank per priority class instead
-        of scanning the whole request buffer.  Late-prefetch promotions
-        are applied eagerly by :meth:`promote` (hooked from
+        Inspects the arrival-heap and hit-heap heads of each priority
+        class instead of scanning the whole request buffer.  Late-prefetch
+        promotions are applied eagerly by :meth:`promote` (hooked from
         ``MemoryRequest.merge_demand``), so the demand heaps are always
         current when a pick happens.
         """
         if self._dp:
             entry = self._best_in_class(
-                self._demand_all, self._demand_rows, cycle, True
+                self._demand_all, self._demand_hits, cycle, True
             )
             if entry is not None:
                 return entry
-        return self._best_in_class(self._other_all, self._other_rows, cycle, False)
+        return self._best_in_class(self._other_all, self._other_hits, cycle, False)
 
     def step(self, cycle: int) -> List[BufferEntry]:
-        """Advance scheduling up to ``cycle``; return completed entries."""
-        pick = self._pick_reference if self._reference else self._pick_indexed
-        while self.pending and self.next_pick_cycle <= cycle:
-            entry = pick(cycle)
-            if entry is None:
-                break
-            del self.pending[entry.seq]
-            entry.queued = False
-            for request in entry.requesters:
-                request.dram_entry = None
-            self._service(entry, max(self.next_pick_cycle, entry.ready_cycle))
+        """Advance scheduling up to ``cycle``; return completed entries.
+
+        A no-op whenever ``cycle < due``; callers may skip it then.
+        """
+        self.steps += 1
+        pending = self.pending
+        if pending and self.next_pick_cycle <= cycle:
+            pick = self._pick_reference if self._reference else self._pick_indexed
+            while True:
+                self.picks += 1
+                entry = pick(cycle)
+                if entry is None:
+                    break
+                del pending[entry.seq]
+                entry.queued = False
+                for request in entry.requesters:
+                    request.dram_entry = None
+                self._service(entry, max(self.next_pick_cycle, entry.ready_cycle))
+                if not pending or self.next_pick_cycle > cycle:
+                    break
+            if pending:
+                # Advance past serviced seqs to the oldest pending entry;
+                # each seq is passed over once, so this is amortized O(1).
+                head = self._head_seq
+                while head not in pending:
+                    head += 1
+                self._head_seq = head
+                self.head_ready = pending[head].ready_cycle
+            else:
+                self.head_ready = _NEVER
         heap = self._completing
-        if not heap or heap[0][0] > cycle:
-            return _NO_ENTRIES
-        completed = []
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= cycle:
-            done_cycle, _, entry = heappop(heap)
-            if not entry.is_store:
-                self._by_line.pop(entry.line_addr, None)
-                if self.l2 is not None:
-                    self.l2.insert(entry.line_addr, True)
-            completed.append(entry)
+        if heap and heap[0][0] <= cycle:
+            completed = []
+            heappop = heapq.heappop
+            while heap and heap[0][0] <= cycle:
+                entry = heappop(heap)[2]
+                if not entry.is_store:
+                    self._by_line.pop(entry.line_addr, None)
+                    if self.l2 is not None:
+                        self.l2.insert(entry.line_addr, True)
+                completed.append(entry)
+        else:
+            completed = _NO_ENTRIES
+        self._refresh_due()
         return completed
 
+    def _refresh_due(self) -> None:
+        """Recompute ``due`` from the completion heap and the pick state."""
+        due = self._completing[0][0] if self._completing else _NEVER
+        if self.pending:
+            pick = self.next_pick_cycle
+            ready = self.head_ready
+            if ready < pick:
+                ready = pick
+            if ready < due:
+                due = ready
+        self.due = due
+
     def _service(self, entry: BufferEntry, pick_cycle: int) -> None:
+        """Issue a picked entry's commands and schedule its completion.
+
+        The entry leaves its row bucket here, so a bucket holds only
+        queued entries.  Opening a new row pushes that row's queued
+        entries into their class's hit heap.
+        """
+        key = (entry.bank, entry.row)
+        bucket = self._rows[key]
+        del bucket[entry.seq]
+        if not bucket:
+            del self._rows[key]
         bank = self.banks[entry.bank]
         cfg = self.config
         if bank.open_row == entry.row:
@@ -436,12 +502,20 @@ class DramChannel:
             # plus data-bus availability constrain the burst.
             row_ready = bank.row_ready_cycle
             self.row_hits += 1
-        elif bank.open_row is None:
-            row_ready = pick_cycle + cfg.t_rcd
-            self.row_misses += 1
         else:
-            row_ready = pick_cycle + cfg.t_rp + cfg.t_rcd
+            if bank.open_row is None:
+                row_ready = pick_cycle + cfg.t_rcd
+            else:
+                row_ready = pick_cycle + cfg.t_rp + cfg.t_rcd
             self.row_misses += 1
+            if bucket:
+                dp = self._dp
+                for seq, queued in bucket.items():
+                    heapq.heappush(
+                        self._demand_hits if queued.demand and dp
+                        else self._other_hits,
+                        (seq, queued),
+                    )
         cas_cycle = max(pick_cycle, row_ready)
         burst_start = max(cas_cycle + cfg.t_cl, self.bus_busy_until)
         done = burst_start + cfg.burst_cycles
@@ -532,7 +606,9 @@ class DramChannel:
         are reassigned from the recorded pending order (which is the
         original insertion order, so relative age — the FR-FCFS
         tie-breaker — is preserved exactly) and the class heaps are
-        rebuilt from the entries' current promotion state.
+        rebuilt from the entries' current promotion state and the
+        restored open rows.  ``due`` restarts at 0, so the first
+        iteration after a restore steps the channel.
         """
         for bank, (row_ready_cycle, open_row) in zip(self.banks, state["banks"]):
             bank.row_ready_cycle = row_ready_cycle
@@ -544,9 +620,12 @@ class DramChannel:
         self.pending = {}
         self._entry_seq = 0
         self._demand_all = []
-        self._demand_rows = {}
+        self._demand_hits = []
         self._other_all = []
-        self._other_rows = {}
+        self._other_hits = []
+        self._rows = {}
+        self.head_ready = _NEVER
+        self.due = 0
         for entry in entries[: state["num_pending"]]:
             # Normalize lazily-recorded promotions (a reference-scheduler
             # checkpoint may not have scanned the flip in yet) so the heap
@@ -588,6 +667,9 @@ class Dram:
         self.config = config
         self.channels = [DramChannel(i, config) for i in range(config.num_channels)]
         self._lines_per_row = max(1, config.row_bytes // config.line_bytes)
+        #: Minimum ``due`` over the channels: :meth:`step` is a no-op
+        #: before it (derived state; 0 after a restore).
+        self.due = _NEVER
 
     def map_address(self, line_addr: int) -> Tuple[int, int, int]:
         """Return (channel, bank, row) for a 64B-aligned line address.
@@ -609,29 +691,47 @@ class Dram:
         return channel, bank, row
 
     def arrive(self, request: MemoryRequest, cycle: int) -> None:
+        """Route a request to its channel; lowers :attr:`due` to match."""
         channel, bank, row = self.map_address(request.line_addr)
-        self.channels[channel].arrive(request, bank, row, cycle)
+        target = self.channels[channel]
+        target.arrive(request, bank, row, cycle)
+        if target.due < self.due:
+            self.due = target.due
 
     def step(self, cycle: int) -> List[BufferEntry]:
-        """Advance every non-idle channel; return all completed entries."""
+        """Advance every due channel; return all completed entries.
+
+        Channels with ``due > cycle`` are skipped (their step would be a
+        no-op); :attr:`due` is then recomputed over all channels.
+        """
         completed: List[BufferEntry] = []
+        due = _NEVER
         for channel in self.channels:
-            if channel.pending or channel._completing:
+            if channel.due <= cycle:
                 done = channel.step(cycle)
                 if done:
                     completed.extend(done)
+            if channel.due < due:
+                due = channel.due
+        self.due = due
         return completed
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which any channel can make progress."""
-        best: Optional[int] = None
+        """Earliest future cycle at which any channel can make progress.
+
+        Valid after :meth:`step` at ``cycle``, when every channel's
+        ``due`` is past ``cycle``.  It then equals the minimum of every
+        busy channel's :meth:`DramChannel.next_event_cycle`: a channel's
+        event is its ``due``, or its ``head_ready`` when that is still
+        in the future and earlier (the oldest entry becomes ready while
+        the data bus is still busy).
+        """
+        best = self.due
         for channel in self.channels:
-            if not channel.pending and not channel._completing:
-                continue
-            c = channel.next_event_cycle(cycle)
-            if c is not None and (best is None or c < best):
-                best = c
-        return best
+            ready = channel.head_ready
+            if cycle < ready < best:
+                best = ready
+        return None if best == _NEVER else best
 
     def inflight_requests(self) -> List[MemoryRequest]:
         """Every request buffered or completing in any channel (invariants)."""
@@ -665,6 +765,7 @@ class Dram:
 
     def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
         """Restore all channels; advances the completion sequence counter."""
+        self.due = 0
         max_seq = -1
         for channel, channel_state in zip(self.channels, state["channels"]):
             channel.load_state_dict(channel_state, requests)

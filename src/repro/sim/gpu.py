@@ -320,7 +320,12 @@ class GpuSimulator:
                 if requests_in:
                     prof_active["interconnect_request"] += 1
             # 3. Advance DRAM; route completed reads back through the network.
-            completed = dram_step(cycle)
+            # Only due channels are stepped; before the earliest due cycle
+            # every channel's step is a no-op.
+            if dram.due <= cycle:
+                completed = dram_step(cycle)
+            else:
+                completed = None
             if completed:
                 for entry in completed:
                     if entry.is_store:
@@ -352,8 +357,9 @@ class GpuSimulator:
                     prof_wall["dispatch"] += t_now - t_phase
                     t_phase = t_now
             # 6. Issue.  Sleeping cores are skipped: their last issue
-            # attempt failed for a reason proven stable until wake_cycle
-            # or an external ``woken`` event, so the skipped poll's only
+            # attempt issued (the port is busy until wake_cycle) or failed
+            # for a reason proven stable until wake_cycle or an external
+            # ``woken`` event, so the skipped poll's only
             # observable effects — the stall_cycles increment and the
             # retry candidate — are replayed here verbatim, keeping stats
             # bit-identical to polling every core every eventful cycle.
@@ -389,9 +395,13 @@ class GpuSimulator:
             # clock tick: the credit cap binds per *update interval*, so
             # the arbiter clock must advance on idle cycles too or the
             # next real injection would bank the whole gap's bandwidth.
+            # Step 8 re-checks the send queues only after an injection:
+            # with nothing sendable here, nothing is sendable there.
+            injected = False
             for mrq in mrqs:
                 if mrq._send_queue:
                     inject_requests(cycle, mrqs)
+                    injected = True
                     break
             else:
                 icnt_tick_idle(cycle)
@@ -426,10 +436,11 @@ class GpuSimulator:
             event = dram_next_event(cycle)
             if event is not None:
                 candidates.append(event)
-            for mrq in mrqs:
-                if mrq._send_queue:
-                    candidates.append(cycle + 1)
-                    break
+            if injected:
+                for mrq in mrqs:
+                    if mrq._send_queue:
+                        candidates.append(cycle + 1)
+                        break
             if throttling:
                 next_update = cores[0].throttle.next_update_cycle
                 for core in cores:
@@ -459,10 +470,14 @@ class GpuSimulator:
         if prof is not None:
             counts = prof.counts
             for core in cores:
+                counts["issue_attempts"] += core.issue_attempts
                 if core.prefetcher is not None:
                     tstats = core.prefetcher.table_stats()
                     counts["table_lookups"] += tstats["lookups"]
                     counts["table_hits"] += tstats["hits"]
+            for channel in dram.channels:
+                counts["dram_channel_steps"] += channel.steps
+                counts["dram_picks"] += channel.picks
             prof.finish(cycle)
         if checker is not None:
             checker.check_final(cycle, truncated=truncated)

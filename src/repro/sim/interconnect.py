@@ -100,18 +100,21 @@ class Interconnect:
     def _pick_next(
         self, cycle: int, mrqs: List[MemoryRequestQueue]
     ) -> Optional[MemoryRequest]:
-        """Round-robin scan of the cores' MRQs for a sendable request."""
+        """Round-robin scan of the cores' MRQs for a sendable request.
+
+        An MRQ with an empty send queue is passed over without a
+        ``pop_sendable`` call (which would return None).
+        """
         num_cores = self.num_cores
         core_id = self._rr_pointer
         for _ in range(num_cores):
             if core_id >= num_cores:
                 core_id -= num_cores
-            request = mrqs[core_id].pop_sendable(cycle)
-            if request is not None:
-                core_id += 1
-                self._rr_pointer = core_id if core_id < num_cores else 0
-                return request
+            mrq = mrqs[core_id]
             core_id += 1
+            if mrq._send_queue:
+                self._rr_pointer = core_id if core_id < num_cores else 0
+                return mrq.pop_sendable(cycle)
         return None
 
     def send_response(self, cycle: int, core_id: int, request: MemoryRequest) -> None:

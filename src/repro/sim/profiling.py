@@ -59,6 +59,22 @@ PHASES = (
     "prefetcher",
 )
 
+#: Work counters in ``SimProfiler.counts``.  ``prefetcher_lookups`` is
+#: counted live; the rest are plain counters on the prefetcher tables,
+#: the cores (``issue_attempts``: ``Core.try_issue`` calls) and the DRAM
+#: channels (``dram_channel_steps``: ``DramChannel.step`` calls;
+#: ``dram_picks``: scheduler picks attempted), summed at the end of the
+#: run.  They are exact for a fixed run, so a change in the simulator's
+#: algorithmic work shows as a deterministic count change.
+COUNTERS = (
+    "prefetcher_lookups",
+    "table_lookups",
+    "table_hits",
+    "issue_attempts",
+    "dram_channel_steps",
+    "dram_picks",
+)
+
 #: Simulated-cycle activity component names (see module docstring).
 COMPONENTS = (
     "core_issue",
@@ -94,14 +110,7 @@ class SimProfiler:
     def __init__(self) -> None:
         self.wall: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         self.active_cycles: Dict[str, int] = {c: 0 for c in COMPONENTS}
-        self.counts: Dict[str, int] = {
-            "prefetcher_lookups": 0,
-            # Aggregate LRU-table pressure across every core's prefetcher
-            # (summed from the tables at the end of the run): how many
-            # table probes training performed and how many found an entry.
-            "table_lookups": 0,
-            "table_hits": 0,
-        }
+        self.counts: Dict[str, int] = {name: 0 for name in COUNTERS}
         self.loop_iterations = 0
         self.cycles = 0
         self.wall_seconds = 0.0
@@ -193,9 +202,7 @@ class SimProfiler:
         self.active_cycles.update(state["active_cycles"])
         # Merge over defaults so snapshots written before a counter was
         # introduced restore with that counter at zero.
-        self.counts = {
-            "prefetcher_lookups": 0, "table_lookups": 0, "table_hits": 0,
-        }
+        self.counts = {name: 0 for name in COUNTERS}
         self.counts.update(state["counts"])
         self.loop_iterations = state["loop_iterations"]
         self.cycles = state["cycles"]

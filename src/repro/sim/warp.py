@@ -28,6 +28,7 @@ class Warp:
         "finish_cycle",
         "finished",
         "line_offset",
+        "blocked",
     )
 
     def __init__(self, warp_id: int, block_id: int, stream: List[WarpInstruction]) -> None:
@@ -50,6 +51,11 @@ class Warp:
         #: the simulator.  Only :meth:`advance` moves ``pc_index``, so it
         #: is updated there.
         self.finished = not stream
+        #: Set by the core's issue scan when the next instruction waits on
+        #: a token that has not completed; cleared whenever any of this
+        #: warp's tokens completes.  Derived state (not serialized): a
+        #: restored warp starts unblocked and the next scan re-tests it.
+        self.blocked = False
 
     def peek(self) -> Optional[WarpInstruction]:
         """The next instruction to issue, or None when finished."""
@@ -83,6 +89,7 @@ class Warp:
         """
         if num_lines <= 0:
             self.tokens_done.add(token)
+            self.blocked = False
         else:
             self._pending_lines[token] = num_lines
 
@@ -105,6 +112,7 @@ class Warp:
             if pending <= 0:
                 self._pending_lines.pop(token, None)
                 self.tokens_done.add(token)
+                self.blocked = False
                 return
         self._pending_lines[token] = pending
 
@@ -116,6 +124,7 @@ class Warp:
         if remaining <= 1:
             del self._pending_lines[token]
             self.tokens_done.add(token)
+            self.blocked = False
             return True
         self._pending_lines[token] = remaining - 1
         return False

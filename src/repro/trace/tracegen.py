@@ -92,6 +92,13 @@ def warp_lines(base: int, lane_stride: int, warp_size: int = WARP_SIZE) -> Tuple
     return coalesce(warp_addresses(base, lane_stride, warp_size))
 
 
+#: Compute-record runs shared across the warps of one workload, keyed by
+#: (op kind, pc, count, wait tokens).
+ComputeRuns = Dict[Tuple[str, int, int, Tuple[int, ...]], List[WarpInstruction]]
+
+_COMPUTE_OPS = {"compute": Op.COMPUTE, "imul": Op.IMUL, "fdiv": Op.FDIV}
+
+
 class _WarpBuilder:
     """Builds one warp's instruction stream."""
 
@@ -102,6 +109,7 @@ class _WarpBuilder:
         bases: Dict[str, int],
         swp: SoftwarePrefetchConfig,
         total_warps: int,
+        compute_runs: ComputeRuns,
     ) -> None:
         self.spec = spec
         self.warp_id = warp_id
@@ -109,6 +117,7 @@ class _WarpBuilder:
         self.bases = bases
         self.swp = swp
         self.total_warps = total_warps
+        self.compute_runs = compute_runs
         self.stream: List[WarpInstruction] = []
         self._next_token = 0
         # load name -> token of its most recent emission.
@@ -130,10 +139,21 @@ class _WarpBuilder:
     # -- emission --------------------------------------------------------
 
     def emit_compute(self, pc: int, count: int, op_kind: str, waits: Sequence[int]) -> None:
-        op = {"compute": Op.COMPUTE, "imul": Op.IMUL, "fdiv": Op.FDIV}[op_kind]
-        self.stream.append(WarpInstruction(op, pc=pc, wait_tokens=tuple(waits)))
-        for _ in range(count - 1):
-            self.stream.append(WarpInstruction(op, pc=pc))
+        """Emit ``count`` computes; the first waits on ``waits``.
+
+        Records are immutable, so one run of records per distinct
+        (op kind, pc, count, waits) is built once and shared by every
+        warp of the workload (and within the run, the wait-free tail
+        records are one object).
+        """
+        key = (op_kind, pc, count, tuple(waits))
+        run = self.compute_runs.get(key)
+        if run is None:
+            op = _COMPUTE_OPS[op_kind]
+            run = [WarpInstruction(op, pc=pc, wait_tokens=key[3])]
+            run.extend([WarpInstruction(op, pc=pc)] * (count - 1))
+            self.compute_runs[key] = run
+        self.stream.extend(run)
 
     def emit_load(self, op: Load, pc: int, iteration: int) -> None:
         token = self._next_token
@@ -187,9 +207,17 @@ def build_warp_stream(
     warp_id: int,
     bases: Dict[str, int],
     swp: SoftwarePrefetchConfig = NO_SWP,
+    compute_runs: Optional[ComputeRuns] = None,
 ) -> List[WarpInstruction]:
-    """Generate one warp's full instruction stream."""
-    builder = _WarpBuilder(spec, warp_id, bases, swp, spec.total_warps)
+    """Generate one warp's full instruction stream.
+
+    Compute records are taken from (and added to) ``compute_runs``, so
+    the warps of one workload built with the same dict share them.
+    """
+    builder = _WarpBuilder(
+        spec, warp_id, bases, swp, spec.total_warps,
+        {} if compute_runs is None else compute_runs,
+    )
     pcs = _static_pcs(spec)
     iters = spec.effective_iters
     register_loads = (
@@ -316,13 +344,17 @@ def generate_workload(
             max_blocks_per_core = max(1, occ(resources, CoreConfig()))
 
     bases = spec.array_layout()
+    compute_runs: ComputeRuns = {}
     blocks = []
     wpb = spec.warps_per_block
     for block_id in range(spec.num_blocks):
         warps = []
         for w in range(wpb):
             warp_id = block_id * wpb + w
-            warps.append((warp_id, build_warp_stream(spec, warp_id, bases, swp)))
+            warps.append(
+                (warp_id,
+                 build_warp_stream(spec, warp_id, bases, swp, compute_runs))
+            )
         blocks.append((block_id, warps))
     mix = spec.instruction_mix()
     return Workload(

@@ -158,3 +158,28 @@ class TestCliPerf:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == perf.PERF_SCHEMA
         assert not (tmp_path / "BENCH_perf.json").exists()
+
+
+class TestWorkCounters:
+    """Deterministic work counters: an algorithmic regression in the
+    issue scan or the DRAM scheduler moves these exact counts, however
+    noisy the host's wall clock is."""
+
+    #: (benchmark, hardware) -> (issue_attempts, dram_channel_steps,
+    #: dram_picks) for each quick spec.
+    PINNED = {
+        ("monte", "none"): (22507, 10625, 9951),
+        ("cell", "none"): (2262, 344, 336),
+        ("backprop", "mt-hwp"): (3744, 1846, 1812),
+    }
+
+    def test_quick_specs_pin_work_counters(self):
+        doc = perf.run_perf(quick=True, generated="t")
+        counters = {
+            (run["benchmark"], run["hardware"]): (
+                run["issue_attempts"], run["dram_channel_steps"],
+                run["dram_picks"],
+            )
+            for run in doc["runs"]
+        }
+        assert counters == self.PINNED

@@ -20,13 +20,21 @@ equivalence three ways:
    ``reference_scheduler`` — consume the same synthesized traffic
    (arrivals, stores, inter-core merges, late-prefetch promotions) and
    must produce identical completion sequences and statistics.
+
+The same traffic scripts also pin the channel's derived wake state, for
+both schedulers: stepping only at cycles where ``due <= cycle`` (as
+``Dram.step`` does) must complete exactly what stepping every cycle
+does, and a channel checkpointed mid-script must continue identically
+with its hit heaps and ``due`` rebuilt from the restored state.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import DramConfig
-from repro.sim.dram import DramChannel
+from repro.sim.dram import Dram, DramChannel
 from repro.sim.memory_request import MemoryRequest
 
 #: Request kinds the traffic generator draws from (prefetch twice so
@@ -52,7 +60,8 @@ def _bank_row(line, banks):
     return index % banks, (index // banks) % 3
 
 
-def _run_script(events, promos, cfg, decision_check=False):
+def _run_script(events, promos, cfg, decision_check=False,
+                every_cycle=False, gated=False, checkpoint_at=None):
     """Drive one channel through a traffic script; return its trace.
 
     ``events`` is a list of ``(cycle, line, kind, core)`` arrivals in
@@ -62,10 +71,23 @@ def _run_script(events, promos, cfg, decision_check=False):
     promotion path.  With ``decision_check`` the ``step()`` pick loop is
     mirrored inline and ``_pick_indexed`` is asserted against
     ``_pick_reference`` at every single decision.
+
+    By default the driver jumps over dead time with
+    ``next_event_cycle`` and steps at every cycle it visits;
+    ``every_cycle`` visits every cycle instead.  ``gated`` steps only
+    when ``channel.due <= cycle``, and then also checks that
+    ``Dram.next_event_cycle``, computed from the channel's cached wake
+    state, equals the channel's own ``next_event_cycle`` at every
+    visited cycle.  ``checkpoint_at`` swaps the channel,
+    at the first visited cycle at or past it, for a fresh channel
+    restored from its JSON round-tripped ``state_dict``.
     """
     channel = DramChannel(0, cfg)
+    dram = Dram(cfg)
+    dram.channels = [channel]
     requests = [_make_request(line, kind, core, cycle)
                 for cycle, line, kind, core in events]
+    by_rid = {request.rid: request for request in requests}
     promo_at = {}  # cycle -> [event index, ...] in index order
     for index, delay in sorted(promos.items()):
         promo_at.setdefault(events[index][0] + delay, []).append(index)
@@ -77,6 +99,12 @@ def _run_script(events, promos, cfg, decision_check=False):
     while cycle <= last_op or not channel.idle:
         guard += 1
         assert guard < 100_000, "channel failed to drain"
+        if checkpoint_at is not None and cycle >= checkpoint_at:
+            state = json.loads(json.dumps(channel.state_dict()))
+            channel = DramChannel(0, cfg)
+            channel.load_state_dict(state, by_rid)
+            dram.channels = [channel]
+            checkpoint_at = None
         while arrivals and arrivals[0][1][0] == cycle:
             index, (_, line, kind, core) = arrivals.pop(0)
             bank, row = _bank_row(line, cfg.banks_per_channel)
@@ -107,7 +135,10 @@ def _run_script(events, promos, cfg, decision_check=False):
                 channel._service(
                     picked, max(channel.next_pick_cycle, picked.ready_cycle)
                 )
-        for entry in channel.step(cycle):
+        completed = (
+            channel.step(cycle) if not gated or channel.due <= cycle else ()
+        )
+        for entry in completed:
             trace.append((
                 cycle, entry.line_addr, entry.is_store, entry.demand,
                 entry.arrival,
@@ -115,8 +146,13 @@ def _run_script(events, promos, cfg, decision_check=False):
                              for r in entry.requesters)),
             ))
         nxt = channel.next_event_cycle(cycle)
+        if gated:
+            # The script steps the channel itself, so the one-channel
+            # Dram's minimum ``due`` is refreshed by hand.
+            dram.due = channel.due
+            assert dram.next_event_cycle(cycle) == nxt
         cycle += 1
-        if nxt is not None and nxt > cycle:
+        if not every_cycle and nxt is not None and nxt > cycle:
             # Jump over dead time, but never past a scripted operation.
             pending_ops = [c for c in promo_at if c >= cycle]
             if arrivals:
@@ -180,6 +216,45 @@ class TestSchedulerEquivalenceProperties:
             events, promos, DramConfig(reference_scheduler=True, **base)
         )
         assert indexed == reference
+
+
+class TestChannelWakeStateProperties:
+    """The derived ``due`` / hit-heap state never changes an outcome."""
+
+    @given(script=_traffic(), reference=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stepping_only_when_due_matches_every_cycle(self, script,
+                                                        reference):
+        """Skipping every step before ``due`` is unobservable."""
+        events, promos, banks, demand_priority, pipeline = script
+        cfg = DramConfig(banks_per_channel=banks,
+                         demand_priority=demand_priority,
+                         pipeline_latency=pipeline,
+                         reference_scheduler=reference)
+        every = _run_script(events, promos, cfg, every_cycle=True)
+        assert _run_script(events, promos, cfg, every_cycle=True,
+                           gated=True) == every
+        assert _run_script(events, promos, cfg, gated=True) == every
+
+    @given(script=_traffic(), reference=st.booleans(),
+           fraction=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_checkpoint_mid_script_continues_identically(self, script,
+                                                         reference,
+                                                         fraction):
+        """A restored channel rebuilds its index and ``due`` exactly."""
+        events, promos, banks, demand_priority, pipeline = script
+        cfg = DramConfig(banks_per_channel=banks,
+                         demand_priority=demand_priority,
+                         pipeline_latency=pipeline,
+                         reference_scheduler=reference)
+        last = max([e[0] for e in events]
+                   + [events[i][0] + d for i, d in promos.items()])
+        checkpoint_at = int(fraction * (last + 2 * pipeline + 100))
+        uninterrupted = _run_script(events, promos, cfg, gated=True)
+        resumed = _run_script(events, promos, cfg, gated=True,
+                              checkpoint_at=checkpoint_at)
+        assert resumed == uninterrupted
 
 
 class TestOrderingRules:

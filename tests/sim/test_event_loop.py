@@ -1,11 +1,18 @@
 """Edge-case tests for the event-accelerated simulation loop."""
 
+import dataclasses
+
 import pytest
 
+from repro.harness.runner import make_spec, run_spec
+from repro.sim import core as core_module
+from repro.sim import gpu as gpu_module
 from repro.sim.config import baseline_config
+from repro.sim.core import Core
 from repro.sim.gpu import GpuSimulator
 from repro.sim.isa import compute, load
 from repro.sim.warp import Warp
+from tests.test_determinism import golden_runs
 
 
 def single_block(stream):
@@ -93,3 +100,52 @@ def test_rerun_continues_from_clean_state():
     sim.load_workload([(1, [(1, [compute()])])], 1)
     second = sim.run()
     assert second.cycles >= first.cycles
+
+
+class _PolledCore(Core):
+    """A core the main loop polls on every eventful iteration."""
+
+    asleep = property(lambda self: False, lambda self, value: None)
+
+
+class _UnblockedWarp(Warp):
+    """A warp whose wait tokens every issue scan re-tests."""
+
+    __slots__ = ()
+    blocked = property(lambda self: False, lambda self, value: None)
+
+
+def _mrq_pressure_config():
+    cfg = baseline_config()
+    return cfg.replace(core=dataclasses.replace(cfg.core, mrq_size=4))
+
+
+#: The six golden specs, plus an MRQ-pressure spec whose warps stall on
+#: MRQ room (the case where a response that completes no token must
+#: still wake its core).
+_ORACLE_SPECS = [run["request"] for run in golden_runs()] + [
+    {"benchmark": "stream", "software": "mt-swp", "scale": 0.1,
+     "config": _mrq_pressure_config()},
+]
+
+
+@pytest.mark.parametrize(
+    "request_", _ORACLE_SPECS,
+    ids=[f"{r['benchmark']}-{r.get('hardware', 'none')}-{r['software']}"
+         + ("-mrq4" if "config" in r else "") for r in _ORACLE_SPECS],
+)
+def test_wake_driven_loop_matches_forced_polling(request_, monkeypatch):
+    """Sleeping cores and blocked warps never change a statistic.
+
+    The oracle run polls every core on every eventful iteration (its
+    ``asleep`` always reads False) and re-tests every warp's wait tokens
+    on every scan (its ``blocked`` always reads False), so no wake or
+    skip decision is taken on its behalf; its stats must equal the
+    normal run's.
+    """
+    spec = make_spec(**request_)
+    expected = run_spec(spec).stats.to_dict()
+    monkeypatch.setattr(gpu_module, "Core", _PolledCore)
+    monkeypatch.setattr(core_module, "Warp", _UnblockedWarp)
+    polled = run_spec(spec)
+    assert polled.stats.to_dict() == expected

@@ -1,10 +1,15 @@
 """Tests for the kernel DSL and trace generation."""
 
+import hashlib
+
 import pytest
 
 from repro.sim.isa import MemSpace, Op
+from repro.trace.benchmarks import get_benchmark
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
-from repro.trace.swp import IP_SWP, MT_SWP, NO_SWP, REGISTER_SWP, STRIDE_SWP
+from repro.trace.swp import (
+    IP_SWP, MT_SWP, NO_SWP, REGISTER_SWP, SCHEMES, STRIDE_SWP,
+)
 from repro.trace.tracegen import build_warp_stream, generate_workload
 
 
@@ -178,3 +183,52 @@ class TestSoftwarePrefetchTransforms:
         first_load = kinds.index(Op.LOAD)
         assert kinds[0] == Op.PREFETCH
         assert kinds[first_load + 1] == Op.PREFETCH
+
+
+def _trace_digest(workload):
+    """Digest of every record's fields, in block, warp and stream order."""
+    h = hashlib.sha256()
+    for block_id, warps in workload.blocks:
+        for warp_id, stream in warps:
+            h.update(repr((block_id, warp_id)).encode())
+            for r in stream:
+                h.update(repr((
+                    r.op.name, r.pc, r.wait_tokens, r.token, r.lines,
+                    r.base_addr, r.space.name,
+                )).encode())
+    return h.hexdigest()[:16]
+
+
+class TestSharedComputeRecords:
+    """Compute records are shared across warps; the trace is unchanged.
+
+    ``stream`` at scale 0.1 has stride- and IP-delinquent loads, so each
+    software scheme produces a different trace.  The digests pin every
+    record's fields as generated before records were shared.
+    """
+
+    PINNED = {
+        "none": (2976, "011a071ebf5881d8"),
+        "register": (2976, "0c527529de5b11ff"),
+        "stride": (3456, "efe9d629be311e18"),
+        "ip": (3216, "ba2c2deddfb8e50c"),
+        "mt-swp": (3696, "a739d7bf1a06d237"),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(PINNED))
+    def test_records_shared_and_trace_unchanged(self, scheme):
+        workload = generate_workload(
+            get_benchmark("stream", scale=0.1), SCHEMES[scheme]
+        )
+        assert (
+            workload.total_instructions(), _trace_digest(workload)
+        ) == self.PINNED[scheme]
+        streams = [stream for _, warps in workload.blocks
+                   for _, stream in warps]
+        assert len(streams) > 1
+        first = streams[0]
+        computes = [i for i, r in enumerate(first) if r.op == Op.COMPUTE]
+        assert computes
+        for stream in streams[1:]:
+            for index in computes:
+                assert stream[index] is first[index]
