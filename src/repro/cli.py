@@ -17,7 +17,7 @@ Commands:
   ``--metrics-dir``) as a markdown run report, raw JSON, or a Chrome
   trace-event file loadable in ``chrome://tracing``/Perfetto.
 * ``fsck`` — audit every durable artifact under a tree (result cache,
-  manifests, checkpoints, metrics, heartbeats, leases, failure and
+  manifests, metrics, heartbeats, leases, failure and
   quarantine reports): classify each file ok/corrupt/orphaned/stale,
   quarantine corruption with ``--repair``, collect litter with
   ``--gc``; exits 1 when corruption remains (see
@@ -44,14 +44,9 @@ sweep flags:
   worker, OS error); deterministic failures are never retried.
 * ``--max-failures N`` / ``--fail-fast`` — abort the sweep once N (or
   one) runs have failed.
-* ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
-  same manifest resumes an interrupted sweep.
-* ``--checkpoint-dir DIR`` — periodic simulator snapshots into DIR for
-  every run, inline or in a sweep worker; a crashed or interrupted run
-  re-invoked with the same directory resumes mid-simulation,
-  bit-identically.
-* ``--checkpoint-interval N`` — cycles between snapshots (default
-  50000).
+* ``--manifest FILE`` — JSONL sweep journal of finished runs;
+  re-invoking with the same manifest resumes an interrupted sweep (runs
+  that were still executing re-run from cycle 0).
 * ``--invariants`` — enable the simulation integrity checker for every
   run, inline or in a sweep worker.
 * ``--profile DIR`` — write a per-run performance profile JSON
@@ -68,8 +63,8 @@ sweep flags:
   seconds; pooled sweeps kill and requeue a heartbeat-silent (wedged)
   run well before its full ``--timeout`` deadline.
 * ``--memory-budget MB`` — per-run peak-RSS budget, self-enforced by
-  every run; an over-budget run checkpoints and fails structurally
-  instead of taking the host down.
+  every run; an over-budget run fails structurally instead of taking
+  the host down.
 * ``--quarantine-dir DIR`` — poison-spec registry: specs that crash or
   wedge workers on every attempt are quarantined into DIR and skipped
   by later sweeps until their report file is deleted.
@@ -81,7 +76,7 @@ sweep flags:
   orphaned leases (SIGKILLed claimant) are stolen after a grace
   period.
 
-The checkpoint, invariant, profile, metrics and memory-budget flags
+The invariant, profile, metrics and memory-budget flags
 travel to every run in one :class:`~repro.harness.sweep.RunOptions`
 object; none of them touches the process environment.
 
@@ -110,14 +105,8 @@ from repro.harness.report import (
     format_sweep,
     format_table,
 )
-from repro.harness.runner import (
-    HARDWARE_SCHEMES,
-    ExperimentRunner,
-    make_spec,
-    run_spec,
-)
+from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner
 from repro.harness.sweep import RunOptions, SweepInterrupted
-from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.sim.telemetry import (
     DEFAULT_METRICS_INTERVAL,
     to_chrome_trace,
@@ -167,18 +156,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--manifest", default=None, metavar="FILE",
-        help="JSONL checkpoint journal for resumable sweeps",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="write periodic simulator snapshots of every run into DIR; "
-             "re-invoking with the same DIR resumes interrupted runs "
-             "mid-simulation",
-    )
-    parser.add_argument(
-        "--checkpoint-interval", type=_positive_int,
-        default=DEFAULT_CHECKPOINT_INTERVAL, metavar="N",
-        help="cycles between simulator snapshots (default: %(default)s)",
+        help="JSONL sweep journal of finished runs; re-invoking with the "
+             "same FILE resumes an interrupted sweep",
     )
     parser.add_argument(
         "--invariants", action="store_true",
@@ -208,7 +187,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memory-budget", type=float, default=None, metavar="MB",
         help="per-run peak-RSS budget in MB, self-enforced by every run; "
-             "an over-budget run checkpoints and fails structurally",
+             "an over-budget run fails structurally",
     )
     parser.add_argument(
         "--quarantine-dir", default=None, metavar="DIR",
@@ -246,8 +225,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         profile_dir=args.profile,
         metrics_dir=args.metrics_dir,
         metrics_interval=args.metrics_interval,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
         memory_budget_mb=args.memory_budget,
     )
     return runner
@@ -273,13 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--perfect-memory", action="store_true")
     run_p.add_argument("--scale", type=float, default=1.0)
     run_p.add_argument("--json", action="store_true", help="print stats as JSON")
-    run_p.add_argument(
-        "--resume-from", default=None, metavar="FILE",
-        help="resume the simulation from a checkpoint snapshot written by "
-             "an earlier invocation of the same run (the snapshot's "
-             "fingerprint must match this command's flags); the run keeps "
-             "re-snapshotting to FILE and removes it on completion",
-    )
     _add_sweep_flags(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare schemes on one benchmark")
@@ -391,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fsck_p = sub.add_parser(
         "fsck",
-        help="audit durable artifacts (cache, manifests, checkpoints, "
-             "leases, heartbeats); repair corruption, collect litter",
+        help="audit durable artifacts (cache, manifests, metrics, leases, "
+             "heartbeats); repair corruption, collect litter",
     )
     fsck_p.add_argument(
         "roots", nargs="*", metavar="ROOT",
@@ -416,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fsck_p.add_argument(
         "--gc", action="store_true",
         help="collect stale/orphaned files (expired leases, dead-worker "
-             "heartbeats, completed-run checkpoints, torn scratch temps)",
+             "heartbeats, torn scratch temps)",
     )
     fsck_p.add_argument(
         "--json", action="store_true",
@@ -477,21 +447,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         degree=args.degree,
         perfect_memory=args.perfect_memory,
     )
-    if args.resume_from:
-        # Explicit mid-simulation resume: execute the variant run directly
-        # (bypassing the result cache, which would short-circuit it) so
-        # the snapshot at --resume-from is actually consumed.
-        spec = make_spec(args.benchmark, scale=args.scale, **variant)
-        result = run_spec(
-            spec, checkpoint_path=args.resume_from,
-            options=runner.engine.options,
-        )
-        baseline = runner.run(args.benchmark)
-    else:
-        runner.warm([{"benchmark": args.benchmark},
-                     {"benchmark": args.benchmark, **variant}])
-        baseline = runner.run(args.benchmark)
-        result = runner.run(args.benchmark, **variant)
+    runner.warm([{"benchmark": args.benchmark},
+                 {"benchmark": args.benchmark, **variant}])
+    baseline = runner.run(args.benchmark)
+    result = runner.run(args.benchmark, **variant)
     stats = result.stats.as_dict()
     stats["speedup_over_baseline"] = result.speedup_over(baseline)
     # Peak RSS rides along in every harness mode's output (perf totals,

@@ -78,27 +78,6 @@ class HardwarePrefetcher(abc.ABC):
         self.triggers = 0
         self.observations = 0
 
-    def state_dict(self) -> Dict:
-        """Serialize dynamic prefetcher state to plain-JSON types.
-
-        Construction parameters (table capacities, distance) are *not*
-        stored — the restoring side rebuilds the prefetcher from the same
-        factory and only reloads dynamic state.  ``degree`` is included
-        because feedback-directed variants mutate it at run time.
-        Subclasses extend the dict via ``super().state_dict()``.
-        """
-        return {
-            "degree": self.degree,
-            "triggers": self.triggers,
-            "observations": self.observations,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore dynamic state from :meth:`state_dict` output."""
-        self.degree = state["degree"]
-        self.triggers = state["triggers"]
-        self.observations = state["observations"]
-
 
 class NullPrefetcher(HardwarePrefetcher):
     """A prefetcher that never prefetches (the no-prefetching baseline)."""

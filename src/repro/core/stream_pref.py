@@ -32,18 +32,8 @@ TRAIN_CONFIRMATIONS = 2
 #: Lines around the anchor considered part of the stream window.
 WINDOW_LINES = 16
 
+#: Stream ids key the LRU map and the spatial index.
 _ids = itertools.count()
-
-
-def advance_ids(floor: int) -> None:
-    """Ensure future stream ids exceed ``floor`` (checkpoint restore).
-
-    Stream ids key the LRU map and the spatial index, so ids allocated
-    after a restore must never collide with a restored stream's id.
-    """
-    global _ids
-    current = next(_ids)
-    _ids = itertools.count(max(current, floor + 1))
 
 
 class StreamEntry:
@@ -58,29 +48,6 @@ class StreamEntry:
         self.confirmations = 0
         self.monitoring = False
         self.warp_id = warp_id
-
-    def state_dict(self) -> List:
-        """Serialize the entry (the sid rides along as identity)."""
-        return [
-            self.sid,
-            self.anchor_line,
-            self.direction,
-            self.confirmations,
-            self.monitoring,
-            self.warp_id,
-        ]
-
-    @classmethod
-    def from_state(cls, state: List) -> "StreamEntry":
-        """Rebuild an entry with its recorded sid (no counter draw)."""
-        entry = cls.__new__(cls)
-        entry.sid = state[0]
-        entry.anchor_line = state[1]
-        entry.direction = state[2]
-        entry.confirmations = state[3]
-        entry.monitoring = state[4]
-        entry.warp_id = state[5]
-        return entry
 
 
 class StreamPrefetcher(HardwarePrefetcher):
@@ -102,8 +69,8 @@ class StreamPrefetcher(HardwarePrefetcher):
         # Spatial index: bucket -> sids anchored in that bucket, as an
         # insertion-ordered dict-of-keys rather than a set.  The probe in
         # :meth:`_find_stream` breaks equal-gap ties by iteration order,
-        # and insertion order (unlike hash order) survives a
-        # checkpoint/restore round trip exactly.
+        # and insertion order (unlike a set's hash layout) depends only
+        # on the access sequence.
         self._buckets: Dict[int, Dict[int, None]] = {}
 
     def __len__(self) -> int:
@@ -196,33 +163,3 @@ class StreamPrefetcher(HardwarePrefetcher):
         super().reset()
         self._lru.clear()
         self._buckets.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize streams in LRU order plus the spatial index order.
-
-        Both the LRU map and each bucket's sid order are preserved
-        verbatim — LRU order decides victims and bucket order decides
-        equal-gap probe ties, so both are behavioral state.
-        """
-        state = super().state_dict()
-        state["streams"] = [entry.state_dict() for entry in self._lru.values()]
-        state["buckets"] = [
-            [bucket, list(sids)] for bucket, sids in self._buckets.items()
-        ]
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict`; advances the sid counter."""
-        super().load_state_dict(state)
-        self._lru = OrderedDict()
-        max_sid = -1
-        for entry_state in state["streams"]:
-            entry = StreamEntry.from_state(entry_state)
-            self._lru[entry.sid] = entry
-            if entry.sid > max_sid:
-                max_sid = entry.sid
-        self._buckets = {
-            bucket: {sid: None for sid in sids}
-            for bucket, sids in state["buckets"]
-        }
-        advance_ids(max_sid)

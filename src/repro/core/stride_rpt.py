@@ -12,7 +12,7 @@ enhanced version adds the warp id to the index (Section VIII-A).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.stride_pc import StrideEntry
@@ -60,18 +60,3 @@ class StrideRptPrefetcher(HardwarePrefetcher):
     def reset(self) -> None:
         super().reset()
         self.table.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize training state (the table rides along in LRU order)."""
-        state = super().state_dict()
-        state["table"] = self.table.state_dict(
-            encode_value=lambda entry: entry.state_dict()
-        )
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.table.load_state_dict(
-            state["table"], decode_value=StrideEntry.from_state
-        )

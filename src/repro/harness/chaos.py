@@ -10,12 +10,12 @@ The campaign is a seeded scheduler around genuinely separate OS
 processes:
 
 1. **Disturb.** Launch ``workers`` sweep children (each a coordinated,
-   supervised, checkpointing :class:`~repro.harness.sweep.SweepEngine`
+   supervised :class:`~repro.harness.sweep.SweepEngine`
    sharing one result cache) over a small fixed benchmark grid, then
    inject ``budget`` faults drawn from a seeded RNG: SIGKILL of a whole
    child process group, graceful SIGTERM, SIGKILL aimed at the current
-   holder of a live work-claim lease, torn (truncated) cache entries and
-   checkpoint snapshots, and timed ENOSPC windows during which every
+   holder of a live work-claim lease, torn (truncated) cache entries,
+   and timed ENOSPC windows during which every
    free-space probe in the children reports zero bytes.
 2. **Converge.** Relaunch fresh, undisturbed children until one finishes
    its whole grid successfully and every grid fingerprint has a cached
@@ -23,11 +23,11 @@ processes:
 3. **Compare.** Re-simulate the grid in-process, cache-free, and demand
    the surviving cache entries be *bit-identical* to the control stats.
 4. **Audit.** Plant one final, known set of corruptions (a torn cache
-   entry, a garbage checkpoint, an expired lease, dead-writer scratch
+   entry, a torn metrics document, an expired lease, dead-writer scratch
    and heartbeat litter), then require ``repro fsck`` to report every
    planted item, and ``fsck --repair --gc`` to leave the tree clean.
 
-Faults whose precondition is momentarily absent (no checkpoint on disk
+Faults whose precondition is momentarily absent (no cache entry on disk
 yet, no live lease) fall back to a SIGKILL, so the injected-fault count
 always reaches the budget.  The fault *schedule* (kinds, delays,
 targets) is deterministic in ``seed``; actual interleavings are real
@@ -71,8 +71,7 @@ ENOSPC_ENV = "REPRO_CHAOS_ENOSPC_FILE"
 
 #: The fault kinds the campaign scheduler draws from.
 FAULT_KINDS = (
-    "sigkill", "sigterm", "lease_kill", "torn_cache",
-    "torn_checkpoint", "enospc",
+    "sigkill", "sigterm", "lease_kill", "torn_cache", "enospc",
 )
 
 _HEX64_JSON = re.compile(r"^[0-9a-f]{64}\.json$")
@@ -121,14 +120,13 @@ def paced_worker(spec, options: RunOptions) -> SimStats:
 def _install_enospc_shim(flag_path: str) -> None:
     """Make every free-space probe report zero while ``flag_path`` exists.
 
-    ``free_bytes`` is imported *by name* into the sweep module, so both
-    the checkpoint module's attribute and sweep's copy must be replaced;
+    Every probe goes through :func:`repro.sim.durable.free_bytes` by
+    module attribute, so replacing that one attribute covers them all;
     pooled workers fork after this runs and inherit the shim.
     """
-    import repro.harness.sweep as sweep_module
-    import repro.sim.checkpoint as checkpoint_module
+    from repro.sim import durable
 
-    real = checkpoint_module.free_bytes
+    real = durable.free_bytes
 
     def probed(path) -> int:
         """Shimmed ``free_bytes``: 0 during an ENOSPC window."""
@@ -136,15 +134,14 @@ def _install_enospc_shim(flag_path: str) -> None:
             return 0
         return real(path)
 
-    checkpoint_module.free_bytes = probed
-    sweep_module.free_bytes = probed
+    durable.free_bytes = probed
 
 
 def child_main(config: Dict) -> int:
     """Entry point of one chaos sweep child (its own process group).
 
-    Runs the campaign grid through a coordinated, supervised,
-    checkpointing, pooled engine against the shared cache named in
+    Runs the campaign grid through a coordinated, supervised, pooled
+    engine against the shared cache named in
     ``config``.  Exit status:
     0 when every grid spec ended in a successful result, 130 on a
     graceful shutdown, 1 otherwise.  Deliberately *no* quarantine
@@ -169,10 +166,6 @@ def child_main(config: Dict) -> int:
         lease_grace=config.get("lease_grace", 2.0),
         failure_report_dir=config.get("failure_report_dir"),
         manifest=config.get("manifest"),
-    )
-    engine.options = RunOptions(
-        checkpoint_dir=config.get("checkpoint_dir"),
-        checkpoint_interval=config.get("checkpoint_interval", 2000),
     )
     try:
         outcomes = engine.run(specs)
@@ -386,10 +379,10 @@ def _plant_corruptions(
     if entries and _truncate(entries[0]):
         planted.append({"path": str(entries[0]), "status": "corrupt"})
 
-    checkpoint = root / "checkpoints" / "chaos-planted.ckpt.json"
-    checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint.write_text("{\"schema\": 1, \"fingerprint\": ", encoding="utf-8")
-    planted.append({"path": str(checkpoint), "status": "corrupt"})
+    metrics = root / "metrics" / "chaos-planted.metrics.json"
+    metrics.parent.mkdir(parents=True, exist_ok=True)
+    metrics.write_text("{\"schema\": 1, \"windows\": [", encoding="utf-8")
+    planted.append({"path": str(metrics), "status": "corrupt"})
 
     lease_dir = cache.root / "leases"
     lease_dir.mkdir(parents=True, exist_ok=True)
@@ -410,7 +403,7 @@ def _plant_corruptions(
     planted.append({"path": str(expired), "status": "stale"})
 
     dead = _dead_pid()
-    scratch = root / "checkpoints" / f".tmp-{dead}-torn.ckpt.json"
+    scratch = root / "metrics" / f".tmp-{dead}-torn.metrics.json"
     scratch.write_text("{\"torn\": ", encoding="utf-8")
     planted.append({"path": str(scratch), "status": "orphaned"})
 
@@ -484,10 +477,9 @@ def run_campaign(
 
     cache_dir = root / "cache"
     heartbeat_dir = root / "heartbeats"
-    checkpoint_dir = root / "checkpoints"
     report_dir = root / "failures"
     flag = root / "enospc.flag"
-    for directory in (cache_dir, heartbeat_dir, checkpoint_dir, report_dir):
+    for directory in (cache_dir, heartbeat_dir, report_dir):
         directory.mkdir(parents=True, exist_ok=True)
     cache = ResultCache(cache_dir)
 
@@ -507,8 +499,6 @@ def run_campaign(
         "scale": scale,
         "heartbeat_interval": 0.2,
         "heartbeat_dir": str(heartbeat_dir),
-        "checkpoint_dir": str(checkpoint_dir),
-        "checkpoint_interval": 2000,
         "lease_grace": lease_grace,
         "failure_report_dir": str(report_dir),
         "enospc_flag": str(flag),
@@ -529,10 +519,10 @@ def run_campaign(
             while len(fleet.alive()) < max(1, int(workers)):
                 fleet.spawn()
             kind = rng.choice(FAULT_KINDS)
-            detail = _inject(kind, fleet, cache, checkpoint_dir, flag, rng)
+            detail = _inject(kind, fleet, cache, flag, rng)
             if detail is None:
                 kind, detail = "sigkill", _inject(
-                    "sigkill", fleet, cache, checkpoint_dir, flag, rng
+                    "sigkill", fleet, cache, flag, rng
                 )
             report.faults.append(
                 FaultRecord(kind, time.monotonic() - start, detail or "")
@@ -618,7 +608,6 @@ def _inject(
     kind: str,
     fleet: _Fleet,
     cache: ResultCache,
-    checkpoint_dir: Path,
     flag: Path,
     rng: random.Random,
 ) -> Optional[str]:
@@ -657,12 +646,6 @@ def _inject(
         if not entries:
             return None
         target = rng.choice(entries)
-        return f"tore {target.name}" if _truncate(target) else None
-    if kind == "torn_checkpoint":
-        snapshots = sorted(checkpoint_dir.glob("*.ckpt.json"))
-        if not snapshots:
-            return None
-        target = rng.choice(snapshots)
         return f"tore {target.name}" if _truncate(target) else None
     if kind == "enospc":
         window = rng.uniform(0.2, 0.5)

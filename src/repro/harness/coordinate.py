@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.sim.checkpoint import atomic_write_json
+from repro.sim.durable import atomic_write_json
 
 #: Lease record format version; readers ignore records from other
 #: versions (treated as stale, hence stealable — an old-protocol process

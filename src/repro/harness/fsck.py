@@ -1,14 +1,14 @@
 """Artifact auditor: classify, repair, and collect every durable sink.
 
 The harness accumulates a zoo of on-disk artifacts — result-cache
-entries, sweep manifests, simulator checkpoints, metrics documents,
+entries, sweep manifests, metrics documents,
 quarantine and failure reports, heartbeats, work-claim leases, and the
 scratch temps of interrupted atomic writes.  Each sink already has a
 validator (cache schema + :class:`~repro.sim.stats.SimStats` shape,
-checkpoint envelope digests, metrics-document contiguity, lease/heartbeat
-records); what was missing is one pass that walks a tree, applies the
-right validator to each file, and says what is trustworthy, what is
-garbage, and what is litter.  That is ``repro fsck``.
+metrics-document contiguity, lease/heartbeat records); what was missing
+is one pass that walks a tree, applies the right validator to each
+file, and says what is trustworthy, what is garbage, and what is
+litter.  That is ``repro fsck``.
 
 Every audited file lands in exactly one status:
 
@@ -24,8 +24,7 @@ Every audited file lands in exactly one status:
 * ``orphaned`` — litter attributable to a dead writer: a scratch temp
   or steal tombstone whose embedded pid no longer runs, a heartbeat
   whose process is gone.  Collected under ``--gc``.
-* ``stale`` — valid but superseded: an expired lease, a checkpoint for
-  a run whose result already sits in the cache.  Collected under
+* ``stale`` — valid but superseded: an expired lease.  Collected under
   ``--gc``.
 
 The auditor never deletes anything it classified ``corrupt`` (repair
@@ -49,8 +48,6 @@ from repro.harness.coordinate import (
     pid_alive,
 )
 from repro.harness.supervise import HEARTBEAT_SCHEMA
-from repro.sim.checkpoint import load_checkpoint
-from repro.sim.errors import CheckpointError
 from repro.sim.stats import SimStats
 from repro.sim.telemetry import validate_metrics_document
 
@@ -207,25 +204,6 @@ def _classify_heartbeat(path: Path, grace: float) -> Finding:
     return Finding(path, "heartbeat", "ok", f"live worker pid {pid}")
 
 
-def _classify_checkpoint(path: Path, cache_keys: Set[str]) -> Finding:
-    """Checkpoint envelope: valid, superseded by a cached result, or torn."""
-    try:
-        envelope = load_checkpoint(path)
-    except CheckpointError as exc:
-        return Finding(path, "checkpoint", "corrupt", str(exc))
-    key = envelope.get("fingerprint", "")
-    if isinstance(key, str) and key in cache_keys:
-        return Finding(
-            path, "checkpoint", "stale",
-            "run already completed (cached result exists for "
-            f"fingerprint {key[:12]}…)",
-        )
-    return Finding(
-        path, "checkpoint", "ok",
-        f"valid snapshot at cycle {envelope.get('cycle')}",
-    )
-
-
 def _classify_metrics(path: Path) -> Finding:
     """Windowed-metrics document: schema/typing/contiguity validation."""
     try:
@@ -335,15 +313,8 @@ def _cache_entry_version(path: Path) -> Optional[int]:
     return int(version.group(1)) if version else None
 
 
-def classify(
-    path: Path, grace: float, cache_keys: Set[str]
-) -> Finding:
-    """Route one file to its sink's validator and return the verdict.
-
-    ``cache_keys`` is the set of fingerprints with a valid cache entry
-    (used to spot completed-run checkpoints); pass an empty set when the
-    scan roots do not include a cache.
-    """
+def classify(path: Path, grace: float) -> Finding:
+    """Route one file to its sink's validator and return the verdict."""
     name = path.name
     if name.endswith(".corrupt"):
         return Finding(
@@ -376,8 +347,6 @@ def classify(
         return _classify_lease(path, grace)
     if name.endswith(".hb.json"):
         return _classify_heartbeat(path, grace)
-    if name.endswith(".ckpt.json"):
-        return _classify_checkpoint(path, cache_keys)
     if name.endswith(".metrics.json"):
         return _classify_metrics(path)
     if name.endswith(".failure.json"):
@@ -427,18 +396,6 @@ def _iter_files(roots: Sequence[Path]) -> Iterable[Path]:
             yield path
 
 
-def _collect_cache_keys(files: Sequence[Path]) -> Set[str]:
-    """Fingerprints with a structurally valid cache entry among ``files``."""
-    keys: Set[str] = set()
-    for path in files:
-        version = _cache_entry_version(path)
-        if version is None:
-            continue
-        if _classify_cache_entry(path, version).status == "ok":
-            keys.add(path.stem)
-    return keys
-
-
 def _repair(finding: Finding) -> None:
     """Quarantine one corrupt file to ``<name>.corrupt`` (atomic rename)."""
     target = finding.path.with_name(finding.path.name + ".corrupt")
@@ -468,9 +425,7 @@ def audit(
 ) -> FsckReport:
     """Audit every file under ``roots``; optionally repair and collect.
 
-    Two passes: the first classifies cache entries (their keys are
-    needed to spot completed-run checkpoints), the second classifies
-    everything else.  With ``repair``, corrupt files are renamed to
+    One pass classifies every file.  With ``repair``, corrupt files are renamed to
     ``<name>.corrupt``; with ``gc``, stale and orphaned files are
     unlinked.  Both mutations are recorded per finding in ``action`` and
     tallied on the report.
@@ -484,10 +439,10 @@ def audit(
     """
     root_paths = [Path(root) for root in roots]
     report = FsckReport(roots=root_paths, grace=max(0.0, float(grace)))
-    files = list(_iter_files(root_paths))
-    cache_keys = _collect_cache_keys(files)
-    for path in files:
-        finding = classify(path, report.grace, cache_keys)
+    # Listed up front so files renamed or collected below are not
+    # rediscovered by a later (overlapping) root.
+    for path in list(_iter_files(root_paths)):
+        finding = classify(path, report.grace)
         report.findings.append(finding)
         if repair and finding.status == "corrupt":
             _repair(finding)

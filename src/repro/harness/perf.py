@@ -266,7 +266,7 @@ def write_document(doc: Dict[str, object], path: Union[str, Path]) -> Path:
     pattern): ``BENCH_perf.json`` is a committed artifact, and a crash
     mid-write must leave the previous intact document, not a torn one.
     """
-    from repro.sim.checkpoint import atomic_write_json
+    from repro.sim.durable import atomic_write_json
 
     return atomic_write_json(
         path, doc, indent=2, sort_keys=True, trailing_newline=True

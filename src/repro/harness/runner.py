@@ -46,13 +46,7 @@ from repro.harness.sweep import (
     build_result_cache,
     fingerprint,
 )
-from repro.sim.checkpoint import (
-    attach_checkpointing,
-    load_checkpoint,
-    restore_simulator,
-)
 from repro.sim.config import GpuConfig, ThrottleConfig, baseline_config
-from repro.sim.errors import CheckpointError, write_failure_report
 from repro.sim.gpu import GpuSimulator, SimulationResult
 from repro.sim.profiling import SimProfiler
 from repro.sim.telemetry import MetricsRecorder
@@ -262,9 +256,6 @@ def _simulate(
     strict: bool = False,
     profiler: Optional[SimProfiler] = None,
     metrics: Optional[MetricsRecorder] = None,
-    checkpoint_path: Union[str, Path, None] = None,
-    checkpoint_interval: int = 0,
-    checkpoint_tag: str = "",
     invariants: Optional[bool] = None,
     sentinel: Optional[supervise.RunSentinel] = None,
 ) -> SimulationResult:
@@ -278,21 +269,12 @@ def _simulate(
     pause comes before any allocation, so ``repro perf`` can count the
     collections inside a run exactly (zero).
 
-    With ``checkpoint_path`` set, the run resumes from a valid snapshot
-    at that path when one exists (a corrupt or mismatched snapshot is
-    reported and the run falls back to a cold start), auto-snapshots
-    every ``checkpoint_interval`` cycles while running, and removes the
-    snapshot once the run completes (a finished run needs no resume
-    point, and a stale snapshot must not shadow a future re-run).
-
     ``invariants`` overrides the simulator's ``$REPRO_INVARIANTS``
     default; the differential harness forces it on so every oracle run
     is also machine-checked.
 
     ``sentinel`` attaches a :class:`repro.harness.supervise.RunSentinel`
-    to the run loop (heartbeats, memory budget, graceful shutdown); it
-    is armed *after* checkpointing so a sentinel-triggered exit can
-    flush the armed snapshot.
+    to the run loop (heartbeats, memory budget, graceful shutdown).
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -307,54 +289,14 @@ def _simulate(
             (lambda core_id: builder(distance, degree)) if builder is not None else None
         )
         workload = WORKLOAD_MEMO.get(kernel, swp)
-        sim: Optional[GpuSimulator] = None
-        if checkpoint_path is not None:
-            checkpoint_path = Path(checkpoint_path)
-            if checkpoint_path.exists():
-                try:
-                    envelope = load_checkpoint(
-                        checkpoint_path, fingerprint=checkpoint_tag, config=cfg
-                    )
-                    sim = restore_simulator(
-                        envelope, cfg, factory,
-                        workload.blocks, workload.max_blocks_per_core,
-                        profiler=profiler, metrics=metrics,
-                    )
-                except CheckpointError as exc:
-                    # Recoverable: leave a structured trace of the rejected
-                    # snapshot, drop it, and cold-start the run.
-                    try:
-                        write_failure_report(
-                            checkpoint_path.with_suffix(".failure.json"),
-                            exc.to_report(),
-                        )
-                        checkpoint_path.unlink(missing_ok=True)
-                    except OSError:
-                        pass
-                    warnings.warn(
-                        f"discarding invalid checkpoint and cold-starting: {exc}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    sim = None
-        if sim is None:
-            sim = GpuSimulator(
-                cfg, factory, invariants=invariants, profiler=profiler,
-                metrics=metrics,
-            )
-            sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-        if checkpoint_path is not None and checkpoint_interval > 0:
-            attach_checkpointing(
-                sim, checkpoint_path, checkpoint_interval, fingerprint=checkpoint_tag
-            )
+        sim = GpuSimulator(
+            cfg, factory, invariants=invariants, profiler=profiler,
+            metrics=metrics,
+        )
+        sim.load_workload(workload.blocks, workload.max_blocks_per_core)
         if sentinel is not None:
             sentinel.attach(sim)
         result = sim.run(strict=strict)
-        if checkpoint_path is not None:
-            try:
-                Path(checkpoint_path).unlink(missing_ok=True)
-            except OSError:
-                pass
         result.stats.benchmark = kernel.name
         return result
     finally:
@@ -362,22 +304,11 @@ def _simulate(
             gc.enable()
 
 
-def checkpoint_path_for(spec: RunSpec, directory: Union[str, Path]) -> Path:
-    """Canonical auto-checkpoint location for a spec under ``directory``.
-
-    Named ``<benchmark>-<fingerprint[:12]>.ckpt.json`` — the same key
-    prefix as cached results and profiles, so a run's artifacts
-    correlate — and deterministic across processes, which is what lets a
-    retried worker find the snapshot its crashed predecessor left.
-    """
-    return Path(directory) / f"{spec.benchmark}-{fingerprint(spec)[:12]}.ckpt.json"
-
-
 def metrics_path_for(spec: RunSpec, directory: Union[str, Path]) -> Path:
     """Canonical metrics-document location for a spec under ``directory``.
 
     Named ``<benchmark>-<fingerprint[:12]>.metrics.json`` — the same key
-    prefix as cached results, profiles and checkpoints, so all of a
+    prefix as cached results and profiles, so all of a
     run's artifacts join on the fingerprint (see OBSERVABILITY.md).
     """
     return Path(directory) / f"{spec.benchmark}-{fingerprint(spec)[:12]}.metrics.json"
@@ -387,8 +318,6 @@ def run_spec(
     spec: RunSpec,
     strict: bool = True,
     profile_path: Union[str, Path, None] = None,
-    checkpoint_path: Union[str, Path, None] = None,
-    checkpoint_interval: Optional[int] = None,
     metrics_path: Union[str, Path, None] = None,
     metrics_interval: Optional[int] = None,
     options: RunOptions = RunOptions(),
@@ -412,18 +341,6 @@ def run_spec(
             engine's cache key prefix, so profiles and cached results
             correlate).  Profiling never changes the simulated
             statistics — the determinism suite asserts this.
-        checkpoint_path: Simulator snapshot location (see
-            :mod:`repro.sim.checkpoint`).  When the file holds a valid
-            snapshot of *this* spec the run resumes from it
-            (bit-identically); either way the run re-snapshots there
-            periodically and removes the file on completion.  ``None``
-            (default) defers to ``options.checkpoint_dir`` via
-            :func:`checkpoint_path_for`.  A corrupt or mismatched
-            snapshot is reported (``<path>.failure.json``), discarded,
-            and the run cold-starts.  Checkpointing never changes the
-            simulated statistics — the checkpoint suite asserts this.
-        checkpoint_interval: Cycles between auto-snapshots; ``None``
-            defers to ``options.checkpoint_interval``.
         metrics_path: Write a
             :class:`~repro.sim.telemetry.MetricsRecorder` windowed
             metrics JSON document here after the run.  ``None``
@@ -433,9 +350,8 @@ def run_spec(
         metrics_interval: Nominal cycles per metrics window; ``None``
             defers to ``options.metrics_interval``.
         options: The sweep's :class:`~repro.harness.sweep.RunOptions`
-            (observers, checkpoints, invariants, heartbeats, memory
-            budget).  The default (immutable) instance runs with none of
-            them.
+            (observers, invariants, heartbeats, memory budget).  The
+            default (immutable) instance runs with none of them.
     """
     kernel = get_benchmark(spec.benchmark, scale=spec.scale)
     builder = HARDWARE_SCHEMES[spec.hardware]
@@ -454,16 +370,12 @@ def run_spec(
         recorder = MetricsRecorder(interval=metrics_interval)
         recorder.benchmark = spec.benchmark
         recorder.fingerprint = key
-    if checkpoint_path is None and options.checkpoint_dir is not None:
-        checkpoint_path = checkpoint_path_for(spec, options.checkpoint_dir)
-    if checkpoint_interval is None:
-        checkpoint_interval = options.checkpoint_interval
     # The sentinel is built before trace generation so its first
     # heartbeat (which records this worker's pid) lands immediately —
     # the supervisor must be able to reclaim a worker that wedges before
     # its simulation ever starts.  Without heartbeats or a budget it
-    # still performs the shutdown check that lets a run checkpoint and
-    # bow out on SIGTERM.
+    # still performs the shutdown check that lets a run bow out on
+    # SIGTERM.
     heartbeat = None
     if options.heartbeat_dir is not None:
         heartbeat = supervise.HeartbeatWriter(
@@ -484,19 +396,11 @@ def run_spec(
         spec.config, spec.throttle, spec.perfect_memory, strict=strict,
         profiler=profiler,
         metrics=recorder,
-        checkpoint_path=checkpoint_path,
-        checkpoint_interval=checkpoint_interval,
-        checkpoint_tag=key,
         invariants=options.invariants or None,
         sentinel=sentinel,
     )
     sentinel.close()
     if recorder is not None:
-        # A snapshot restored into this run can carry the identity of
-        # the interrupted process; re-stamp so the document names this
-        # spec either way.
-        recorder.benchmark = spec.benchmark
-        recorder.fingerprint = key
         try:
             recorder.write(metrics_path)
         except OSError as exc:
@@ -586,9 +490,9 @@ class ExperimentRunner:
         max_failures: Abort a sweep once this many runs have failed;
             remaining runs are recorded as ``aborted`` failures.
         fail_fast: Shorthand for ``max_failures=1``.
-        manifest: Path to a JSONL checkpoint journal; an interrupted
-            sweep re-invoked with the same manifest resumes from partial
-            progress.
+        manifest: Path to a JSONL sweep journal; an interrupted sweep
+            re-invoked with the same manifest skips the runs it already
+            finished and re-executes the rest from cycle 0.
         failure_report_dir: When set, each failed run writes a
             diagnostic JSON report under this directory.
         heartbeat_interval: Seconds between worker liveness heartbeats;
@@ -600,7 +504,7 @@ class ExperimentRunner:
         memory_budget_mb: Per-run peak-RSS budget in MB, enforced by
             worker self-monitoring (carried to every worker in the
             engine's :class:`~repro.harness.sweep.RunOptions`); a run
-            over budget checkpoints and fails structurally with
+            over budget fails structurally with
             :class:`~repro.sim.errors.MemoryBudgetExceeded`.
         coordinate: Work-claim lease coordination with concurrent sweeps
             sharing the cache directory (see

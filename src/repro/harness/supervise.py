@@ -6,8 +6,8 @@ the two sides:
 
 * **Liveness heartbeats.**  Each worker periodically writes a tiny
   ``{cycle, wall, peak_rss_kb, pid}`` record to a per-run heartbeat file
-  (:class:`HeartbeatWriter`, driven by the same run-loop hook cadence as
-  checkpoint auto-snapshots).  The engine-side supervisor reads the
+  (:class:`HeartbeatWriter`, driven by the simulator's run-loop
+  supervision hook).  The engine-side supervisor reads the
   record's age to distinguish *slow but progressing* (fresh heartbeat,
   advancing cycle) from *wedged* (silent past the stall threshold), so a
   stuck run is killed and requeued long before its full ``--timeout``
@@ -15,10 +15,11 @@ the two sides:
 * **Resource governance.**  :class:`RunSentinel` is the worker-side
   self-monitor: on every supervision tick it emits a heartbeat, enforces
   the per-run memory budget (``resource.getrusage``, stdlib only) by
-  flushing a checkpoint and raising a picklable
-  :class:`~repro.sim.errors.MemoryBudgetExceeded`, and honors shutdown
-  requests by flushing a checkpoint and raising
-  :class:`~repro.sim.errors.WorkerInterrupted`.
+  raising a picklable :class:`~repro.sim.errors.MemoryBudgetExceeded`,
+  and honors shutdown requests by raising
+  :class:`~repro.sim.errors.WorkerInterrupted`.  The interrupted run's
+  partial state is discarded; a resumed sweep re-executes it from
+  cycle 0.
 * **Poison-spec quarantine.**  :class:`QuarantineRegistry` is a
   directory of ``<key>.json`` failure reports; a spec that crashes or
   wedges workers on every attempt is written there and skipped by later
@@ -27,13 +28,13 @@ the two sides:
   (:func:`request_shutdown` / :func:`shutdown_requested`) set by the
   engine's first SIGTERM/SIGINT — and by
   :func:`install_worker_signal_handlers` inside pool workers — stops
-  admission and lets in-flight runs checkpoint and bow out.
+  admission and lets in-flight runs bow out.
 * **Disk-pressure degradation.**  :func:`is_disk_pressure` classifies
   ``ENOSPC``/``EDQUOT``; heartbeat writes that hit them warn once and
   disable themselves instead of crashing the run.
 
 Everything here is engine-agnostic and importable from workers: it
-depends only on the sim layer (errors, checkpoint helpers), never on
+depends only on the sim layer (errors, durable-write helpers), never on
 :mod:`repro.harness.sweep`, so ``sweep`` -> ``supervise`` stays a
 one-way dependency.
 """
@@ -52,7 +53,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
-from repro.sim.checkpoint import atomic_write_json
+from repro.sim.durable import atomic_write_json
 from repro.sim.errors import MemoryBudgetExceeded, WorkerInterrupted
 
 #: Heartbeat record format version.
@@ -62,9 +63,8 @@ HEARTBEAT_SCHEMA = 1
 DEFAULT_HEARTBEAT_INTERVAL = 5.0
 
 #: Cycle cadence of the run-loop supervision hook (the heartbeat/budget
-#: tick).  Deliberately much finer than the checkpoint interval — the
-#: tick itself is wall-clock-gated, so a fine cycle cadence costs one
-#: integer compare per loop iteration, not one file write.
+#: tick).  The tick itself is wall-clock-gated, so a fine cycle cadence
+#: costs one integer compare per loop iteration, not one file write.
 SUPERVISION_HOOK_CYCLES = 1000
 
 #: A run whose heartbeat is older than ``interval * stall_grace`` (with
@@ -78,7 +78,7 @@ def heartbeat_path_for(
     """Canonical heartbeat location for a run under ``directory``.
 
     ``<benchmark>-<key[:12]>.hb.json`` — the same key prefix as cached
-    results, profiles, and checkpoints, so one run's artifacts correlate,
+    results and profiles, so one run's artifacts correlate,
     and deterministic across processes, which is what lets the engine
     find the heartbeat a worker is writing.
     """
@@ -151,8 +151,8 @@ def reset_shutdown() -> None:
 def _worker_signal_handler(signum: int, frame: object) -> None:
     """Pool-worker handler: convert SIGTERM/SIGINT into the flag.
 
-    The run sentinel observes the flag at its next tick, flushes a
-    checkpoint, and raises :class:`~repro.sim.errors.WorkerInterrupted`
+    The run sentinel observes the flag at its next tick and raises
+    :class:`~repro.sim.errors.WorkerInterrupted`
     — a controlled exit instead of an instant kill mid-write.
     """
     request_shutdown()
@@ -183,7 +183,7 @@ class HeartbeatWriter:
     ``beat()`` is cheap to call often (the supervision hook fires every
     :data:`SUPERVISION_HOOK_CYCLES` cycles): it only touches the disk
     once per ``interval`` seconds.  Writes are atomic (shared
-    :func:`~repro.sim.checkpoint.atomic_write_json` helper) so the
+    :func:`~repro.sim.durable.atomic_write_json` helper) so the
     engine never reads a torn record.  Disk pressure (ENOSPC/EDQUOT)
     warns once and disables the sink — liveness reporting degrades, the
     simulation itself survives.
@@ -242,10 +242,9 @@ class RunSentinel:
     simulated cycles) the sentinel:
 
     1. emits a liveness heartbeat (wall-clock gated),
-    2. honors a pending graceful-shutdown request — flush a checkpoint
-       if one is armed, then raise
+    2. honors a pending graceful-shutdown request by raising
        :class:`~repro.sim.errors.WorkerInterrupted`,
-    3. enforces the peak-RSS budget — flush a checkpoint, then raise
+    3. enforces the peak-RSS budget by raising
        :class:`~repro.sim.errors.MemoryBudgetExceeded`.
 
     Both exceptions are picklable :class:`~repro.sim.errors.SimulationError`
@@ -276,20 +275,18 @@ class RunSentinel:
         if self.heartbeat is not None:
             self.heartbeat.beat(sim.cycle)
         if shutdown_requested():
-            self._flush_checkpoint(sim)
             raise WorkerInterrupted(
                 f"graceful shutdown requested; run interrupted at cycle "
-                f"{sim.cycle} (checkpoint flushed if armed)",
+                f"{sim.cycle}",
                 snapshot={"cycle": sim.cycle, "pid": os.getpid()},
             )
         budget = self.memory_budget_kb
         if budget is not None:
             rss = peak_rss_kb()
             if rss > budget:
-                self._flush_checkpoint(sim)
                 raise MemoryBudgetExceeded(
                     f"peak RSS {rss} KB exceeded the {budget} KB budget at "
-                    f"cycle {sim.cycle} (checkpoint flushed if armed)",
+                    f"cycle {sim.cycle}",
                     snapshot={
                         "cycle": sim.cycle,
                         "peak_rss_kb": rss,
@@ -297,17 +294,6 @@ class RunSentinel:
                         "pid": os.getpid(),
                     },
                 )
-
-    @staticmethod
-    def _flush_checkpoint(sim: object) -> None:
-        """Best-effort final snapshot before a structured worker exit."""
-        write = getattr(sim, "checkpoint_write", None)
-        if write is None:
-            return
-        try:
-            write(sim)
-        except OSError:  # pragma: no cover - best-effort by design
-            pass
 
     def close(self) -> None:
         """Tear down after a successful run (removes the heartbeat)."""

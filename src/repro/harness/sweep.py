@@ -32,17 +32,12 @@ Fault-tolerance model (the integrity layer of the harness):
   invariant violations or cycle-limit truncation, and ordinary
   exceptions) would fail identically on every attempt and are never
   retried.
-* **Checkpointed manifests.**  With a :class:`SweepManifest` attached,
+* **Journaled manifests.**  With a :class:`SweepManifest` attached,
   every completed run is journaled (append-only JSONL); an interrupted
-  sweep re-invoked with the same manifest resumes from partial progress
-  even without a result cache.
-* **Mid-run crash recovery.**  With :attr:`RunOptions.checkpoint_dir`
-  set (see :mod:`repro.sim.checkpoint`), every worker snapshots its
-  simulator periodically and :func:`repro.harness.runner.run_spec`
-  resumes from the newest valid snapshot, so a crashed or deadline-hit
-  worker's retry continues from the last checkpoint instead of
-  restarting at cycle 0 — and deadline hits become retryable, since
-  each attempt makes forward progress.
+  sweep re-invoked with the same manifest skips the finished runs even
+  without a result cache.  A run is the unit of recovery: one that was
+  still executing when its worker died or the sweep stopped is simply
+  executed again from cycle 0 (every exhibit run takes seconds).
 * **Failure budgets.**  ``max_failures`` aborts the sweep once too many
   runs fail (``fail_fast`` is the 1-failure special case); unexecuted
   runs are recorded as ``aborted`` failures, so callers always receive
@@ -62,7 +57,8 @@ Fault-tolerance model (the integrity layer of the harness):
   with a failure report and skipped by later sweeps instead of burning
   their retry budgets again.
 * **Graceful shutdown.**  The first SIGTERM/SIGINT during a sweep stops
-  admission, drains in-flight runs (which flush checkpoints), journals a
+  admission, drains in-flight runs (which bow out at their next
+  loop-top check and stay pending), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
   exits 130 and a re-invocation with the same ``--manifest`` resumes
   exactly.  A second signal forces immediate exit.
@@ -76,12 +72,12 @@ Fault-tolerance model (the integrity layer of the harness):
   optimization — correctness still rests on atomic cache writes — and
   can be disabled with ``coordinate=False`` (CLI: ``--no-coordinate``).
 
-Per-run observability artifacts: with a profile, metrics or checkpoint
-directory set in the engine's :class:`RunOptions` (the CLI's
-``--profile`` / ``--metrics-dir`` / ``--checkpoint-dir``; the engine
-hands the options to every worker alongside its spec), each *executed*
-run additionally writes a wall-clock profile, a windowed-metrics
-time-series document, and periodic snapshots, all named
+Per-run observability artifacts: with a profile or metrics directory
+set in the engine's :class:`RunOptions` (the CLI's ``--profile`` /
+``--metrics-dir``; the engine hands the options to every worker
+alongside its spec), each *executed* run additionally writes a
+wall-clock profile and a windowed-metrics time-series document, both
+named
 ``<benchmark>-<fingerprint[:12]>.*`` — the same key prefix as this
 module's result cache, so a run's artifacts join on the fingerprint
 (see OBSERVABILITY.md).  Cache hits execute nothing and therefore emit
@@ -146,11 +142,7 @@ from repro.harness.coordinate import (
     lease_dir_for,
 )
 from repro.harness.supervise import QuarantineRegistry, is_disk_pressure
-from repro.sim.checkpoint import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    atomic_write_json,
-    free_bytes,
-)
+from repro.sim import durable
 from repro.sim.config import GpuConfig
 from repro.sim.errors import (
     FAILURE_REPORT_SCHEMA,
@@ -267,9 +259,6 @@ class RunOptions:
         metrics_dir: Write each executed run's windowed-metrics document
             here.
         metrics_interval: Nominal simulated cycles per metrics window.
-        checkpoint_dir: Auto-snapshot each run here, and resume a run
-            from its valid snapshot.
-        checkpoint_interval: Simulated cycles between auto-snapshots.
         heartbeat_dir: Write per-run liveness heartbeats here (set by a
             supervising engine for its pool workers).
         heartbeat_interval: Wall-clock seconds between heartbeat writes.
@@ -280,8 +269,6 @@ class RunOptions:
     profile_dir: Union[str, Path, None] = None
     metrics_dir: Union[str, Path, None] = None
     metrics_interval: int = DEFAULT_METRICS_INTERVAL
-    checkpoint_dir: Union[str, Path, None] = None
-    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     heartbeat_dir: Union[str, Path, None] = None
     heartbeat_interval: float = supervise.DEFAULT_HEARTBEAT_INTERVAL
     memory_budget_mb: Optional[float] = None
@@ -470,7 +457,7 @@ class ResultCache:
             # exception path.  sort_keys makes the entry byte-identical
             # no matter which process wrote it — what lets tests diff
             # two independently-merged caches file by file.
-            atomic_write_json(path, payload, sort_keys=True)
+            durable.atomic_write_json(path, payload, sort_keys=True)
         except OSError as exc:
             self.errors += 1
             self.dropped += 1
@@ -520,7 +507,7 @@ def build_result_cache(
 
 
 # ----------------------------------------------------------------------
-# Checkpointed sweep manifest
+# Sweep manifest
 # ----------------------------------------------------------------------
 
 #: Minimum free bytes required before a manifest append is attempted.
@@ -595,7 +582,7 @@ class SweepManifest:
         record = {"schema": SCHEMA_VERSION, **record}
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            space = free_bytes(self.path.parent)
+            space = durable.free_bytes(self.path.parent)
             if space is not None and space < MANIFEST_FREE_SPACE_FLOOR:
                 raise OSError(
                     errno.ENOSPC,
@@ -834,9 +821,10 @@ class SweepInterrupted(RuntimeError):
     """A sweep ended early because a graceful shutdown was requested.
 
     Raised by :meth:`SweepEngine.run` after the first SIGTERM/SIGINT:
-    admission has stopped, in-flight runs have drained (flushing their
-    checkpoints), every completed result is journaled, and the manifest
-    carries a final ``interrupted`` record.  Re-invoking the same sweep
+    admission has stopped, in-flight runs have drained (an interrupted
+    run stays pending and re-executes on resume), every completed
+    result is journaled, and the manifest carries a final
+    ``interrupted`` record.  Re-invoking the same sweep
     with the same manifest resumes exactly where this one stopped.
 
     Attributes:
@@ -898,8 +886,8 @@ class SweepEngine:
         max_failures: Abort the sweep once this many runs have failed;
             remaining runs are recorded as ``aborted``.  ``None`` means
             never abort.
-        manifest: Checkpoint journal (path or :class:`SweepManifest`)
-            for resumable sweeps.
+        manifest: Sweep journal (path or :class:`SweepManifest`) for
+            resumable sweeps.
         failure_report_dir: When set, every failure writes a diagnostic
             JSON report to ``<dir>/<key>.json``.
         heartbeat_interval: Seconds between worker liveness heartbeats.
@@ -921,7 +909,7 @@ class SweepEngine:
             duration of :meth:`run` — first signal drains and raises
             :class:`SweepInterrupted`, second forces immediate exit.
         drain_timeout: Maximum seconds to wait for in-flight runs to
-            finish (or checkpoint and bow out) after a shutdown request.
+            finish (or bow out) after a shutdown request.
         coordinate: Claim work-claim leases so concurrent sweeps sharing
             the cache directory never duplicate a simulation (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) enables
@@ -937,7 +925,7 @@ class SweepEngine:
 
     Attributes:
         options: The :class:`RunOptions` handed to every worker call
-            (observers, checkpoints, memory budget); assign a new
+            (observers, memory budget); assign a new
             instance to change them.  A supervising pool adds its own
             heartbeat directory and interval.
     """
@@ -1478,7 +1466,7 @@ class SweepEngine:
         """Forward the shutdown request to in-flight worker processes.
 
         Workers whose pid is known (from their heartbeat) get a SIGTERM;
-        their sentinel then checkpoints and raises ``WorkerInterrupted``
+        their sentinel then raises ``WorkerInterrupted``
         at the next tick.  Workers without a heartbeat yet simply finish
         their (short, pre-simulation) work and drain normally.
         """
@@ -1527,10 +1515,6 @@ class SweepEngine:
         executors: List[Executor] = []
         lost_slots = 0
         options = self.options
-        # With a checkpoint directory set, every worker checkpoints its
-        # run periodically and run_spec() resumes from the newest valid
-        # snapshot — which makes deadline hits worth retrying.
-        resumable = options.checkpoint_dir is not None
 
         supervising = pooled and self.heartbeat_interval is not None
         own_heartbeat_dir = False
@@ -1719,9 +1703,9 @@ class SweepEngine:
                         if isinstance(exc, WorkerInterrupted) and (
                             draining or self._stopping()
                         ):
-                            # The run checkpointed and bowed out (inline,
-                            # before the loop top drains): left pending so
-                            # a resume with the manifest re-executes it.
+                            # The run bowed out (inline, before the loop
+                            # top drains): left pending so a resume with
+                            # the manifest re-executes it.
                             continue
                         if (
                             not draining
@@ -1808,15 +1792,6 @@ class SweepEngine:
                         # Already executing in a worker we cannot reclaim:
                         # write the slot off.
                         lost_slots += 1
-                    if not draining and resumable and run.attempt < self.retries:
-                        # With auto-checkpointing on, the abandoned worker
-                        # has been leaving snapshots behind; a fresh
-                        # attempt resumes from the newest one instead of
-                        # restarting at cycle 0, so each retry makes
-                        # forward progress even against a too-tight
-                        # deadline.
-                        requeue(run, now)
-                        continue
                     self._record_failure(
                         run.key, run.spec, "timeout", None, outcomes,
                         message=(

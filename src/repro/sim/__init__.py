@@ -8,15 +8,6 @@ DRAM model with inter-core merging and demand-over-prefetch priority, and the
 per-core prefetch cache that backs both software and hardware MT-prefetching.
 """
 
-from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    atomic_write_json,
-    attach_checkpointing,
-    config_fingerprint,
-    load_checkpoint,
-    restore_simulator,
-    write_checkpoint,
-)
 from repro.sim.config import (
     CoreConfig,
     DramConfig,
@@ -25,8 +16,8 @@ from repro.sim.config import (
     PrefetchCacheConfig,
     baseline_config,
 )
+from repro.sim.durable import atomic_write_json
 from repro.sim.errors import (
-    CheckpointError,
     CycleLimitExceeded,
     DeadlockError,
     InvariantViolation,
@@ -39,8 +30,6 @@ from repro.sim.invariants import InvariantChecker, invariants_enabled_from_env
 from repro.sim.stats import SimStats
 
 __all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointError",
     "CoreConfig",
     "CycleLimitExceeded",
     "DeadlockError",
@@ -55,13 +44,8 @@ __all__ = [
     "SimulationError",
     "SimulationResult",
     "atomic_write_json",
-    "attach_checkpointing",
     "baseline_config",
-    "config_fingerprint",
     "invariants_enabled_from_env",
-    "load_checkpoint",
     "load_failure_report",
-    "restore_simulator",
-    "write_checkpoint",
     "write_failure_report",
 ]

@@ -10,7 +10,7 @@ tracks a used-bit per line and reports evictions of never-used lines.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.sim.config import PrefetchCacheConfig
 
@@ -71,33 +71,6 @@ class SetAssociativeCache:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
-
-    def state_dict(self, encode_payload: Optional[Callable] = None) -> Dict:
-        """Serialize every set in LRU-to-MRU order.
-
-        Iteration order of each set's ``OrderedDict`` *is* the
-        replacement state, so lines are stored as ordered ``[line,
-        payload]`` pairs.  ``encode_payload`` converts payloads to
-        plain-JSON values; the default passes them through (for caches
-        storing JSON-able payloads such as the DRAM L2's ``True``).
-        """
-        encode = encode_payload or (lambda payload: payload)
-        return {
-            "sets": [
-                [[line, encode(payload)] for line, payload in cache_set.items()]
-                for cache_set in self._sets
-            ]
-        }
-
-    def load_state_dict(
-        self, state: Dict, decode_payload: Optional[Callable] = None
-    ) -> None:
-        """Restore from :meth:`state_dict`, rebuilding exact LRU order."""
-        decode = decode_payload or (lambda payload: payload)
-        self._sets = [
-            OrderedDict((line, decode(payload)) for line, payload in lines)
-            for lines in state["sets"]
-        ]
 
 
 class _PrefetchLine:
@@ -208,37 +181,3 @@ class PrefetchCache:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    def state_dict(self) -> Dict:
-        """Serialize cache contents (used-bits included) and counters."""
-        return {
-            "cache": self._cache.state_dict(
-                encode_payload=lambda line: [line.fill_cycle, line.used]
-            ),
-            "window_useful": self.window_useful,
-            "window_early_evictions": self.window_early_evictions,
-            "window_hits": self.window_hits,
-            "total_useful": self.total_useful,
-            "total_early_evictions": self.total_early_evictions,
-            "total_hits": self.total_hits,
-            "total_misses": self.total_misses,
-            "total_fills": self.total_fills,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-
-        def decode(payload) -> _PrefetchLine:
-            line = _PrefetchLine(payload[0])
-            line.used = payload[1]
-            return line
-
-        self._cache.load_state_dict(state["cache"], decode_payload=decode)
-        self.window_useful = state["window_useful"]
-        self.window_early_evictions = state["window_early_evictions"]
-        self.window_hits = state["window_hits"]
-        self.total_useful = state["total_useful"]
-        self.total_early_evictions = state["total_early_evictions"]
-        self.total_hits = state["total_hits"]
-        self.total_misses = state["total_misses"]
-        self.total_fills = state["total_fills"]

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.sim.config import DramConfig
 from repro.sim.memory_request import MemoryRequest
 
+#: Same-cycle tiebreaker inside the completion-heap tuples.
 _seq = itertools.count()
 
 #: Shared immutable "nothing completed" result, so the common idle-channel
@@ -48,19 +49,6 @@ _NO_ENTRIES: Tuple[()] = ()
 
 #: ``due`` / ``head_ready`` value meaning "no event": later than any cycle.
 _NEVER = 1 << 62
-
-
-def advance_seq(floor: int) -> None:
-    """Ensure future completion-heap sequence numbers exceed ``floor``.
-
-    Restored ``_completing`` tuples keep their recorded tiebreakers, so
-    entries serviced after a resume must draw strictly larger ones to
-    preserve same-cycle completion ordering against restored entries.
-    """
-    global _seq
-    current = next(_seq)
-    _seq = itertools.count(max(current, floor + 1))
-
 
 class BufferEntry:
     """One line-sized transaction in a channel's request buffer.
@@ -95,8 +83,7 @@ class BufferEntry:
         # the prefetch's pipeline progress — the head start is real.
         self.ready_cycle = ready_cycle
         self.demand = request.is_demand
-        # Index bookkeeping (not serialized; the channel rebuilds it on
-        # restore).  ``seq`` is the per-channel insertion order — the
+        # Index bookkeeping.  ``seq`` is the per-channel insertion order — the
         # FR-FCFS tie-breaker, equal to the entry's scan position in the
         # reference implementation.  ``queued`` is the lazy-deletion
         # marker for the index heaps; ``owner`` routes promotion hooks
@@ -109,38 +96,6 @@ class BufferEntry:
         self.requesters.append(request)
         if request.is_demand:
             self.demand = True
-
-    def state_dict(self) -> Dict:
-        """Serialize the entry; requesters referenced by rid."""
-        return {
-            "line_addr": self.line_addr,
-            "bank": self.bank,
-            "row": self.row,
-            "requesters": [request.rid for request in self.requesters],
-            "is_store": self.is_store,
-            "arrival": self.arrival,
-            "ready_cycle": self.ready_cycle,
-            "demand": self.demand,
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: Dict, requests: Dict[int, MemoryRequest]
-    ) -> "BufferEntry":
-        """Rebuild an entry, rewiring requesters to shared request objects."""
-        entry = cls.__new__(cls)
-        entry.line_addr = state["line_addr"]
-        entry.bank = state["bank"]
-        entry.row = state["row"]
-        entry.requesters = [requests[rid] for rid in state["requesters"]]
-        entry.is_store = state["is_store"]
-        entry.arrival = state["arrival"]
-        entry.ready_cycle = state["ready_cycle"]
-        entry.demand = state["demand"]
-        entry.seq = -1
-        entry.queued = False
-        entry.owner = None
-        return entry
 
     def is_demand_now(self) -> bool:
         """Current priority class of this entry.
@@ -196,8 +151,7 @@ class DramChannel:
         self.pending: Dict[int, BufferEntry] = {}
         self._by_line: Dict[int, BufferEntry] = {}
         self._completing: List[Tuple[int, int, BufferEntry]] = []
-        # Indexed-scheduler state (derived: rebuilt on restore, never
-        # serialized).  Each heap holds (seq, entry) with lazy deletion:
+        # Indexed-scheduler state (derived).  Each heap holds (seq, entry) with lazy deletion:
         # an entry is live in the demand heaps iff it is still queued,
         # and live in the other heaps iff it is queued and has not been
         # promoted to the demand class.  A hit-heap entry is live only
@@ -238,8 +192,7 @@ class DramChannel:
         self.inter_core_merges = 0
         self.l2_hits = 0
         self.l2_misses = 0
-        # Work counters (profiler ``dram_channel_steps`` / ``dram_picks``;
-        # not serialized).
+        # Work counters (profiler ``dram_channel_steps`` / ``dram_picks``).
         self.steps = 0
         self.picks = 0
 
@@ -564,96 +517,6 @@ class DramChannel:
     def idle(self) -> bool:
         return not self.pending and not self._completing
 
-    def state_dict(self) -> Dict:
-        """Serialize channel state; buffer entries referenced by local id.
-
-        ``pending`` and ``_completing`` own the entries; ``_by_line``
-        aliases them, so entries are enumerated once (pending first, then
-        the completion heap in list order) and every container stores the
-        entry's index into that enumeration.
-        """
-        entries: List[BufferEntry] = list(self.pending.values())
-        entries.extend(item[2] for item in self._completing)
-        eids = {id(entry): eid for eid, entry in enumerate(entries)}
-        return {
-            "banks": [
-                [bank.row_ready_cycle, bank.open_row] for bank in self.banks
-            ],
-            "entries": [entry.state_dict() for entry in entries],
-            "num_pending": len(self.pending),
-            "completing": [
-                [done, seq, eids[id(entry)]]
-                for done, seq, entry in self._completing
-            ],
-            "by_line": [
-                [line, eids[id(entry)]] for line, entry in self._by_line.items()
-            ],
-            "bus_busy_until": self.bus_busy_until,
-            "next_pick_cycle": self.next_pick_cycle,
-            "l2": self.l2.state_dict() if self.l2 is not None else None,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "lines_transferred": self.lines_transferred,
-            "inter_core_merges": self.inter_core_merges,
-            "l2_hits": self.l2_hits,
-            "l2_misses": self.l2_misses,
-        }
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore from :meth:`state_dict`, preserving entry aliasing.
-
-        The scheduling index is not serialized: per-channel ``seq`` values
-        are reassigned from the recorded pending order (which is the
-        original insertion order, so relative age — the FR-FCFS
-        tie-breaker — is preserved exactly) and the class heaps are
-        rebuilt from the entries' current promotion state and the
-        restored open rows.  ``due`` restarts at 0, so the first
-        iteration after a restore steps the channel.
-        """
-        for bank, (row_ready_cycle, open_row) in zip(self.banks, state["banks"]):
-            bank.row_ready_cycle = row_ready_cycle
-            bank.open_row = open_row
-        entries = [
-            BufferEntry.from_state(entry_state, requests)
-            for entry_state in state["entries"]
-        ]
-        self.pending = {}
-        self._entry_seq = 0
-        self._demand_all = []
-        self._demand_hits = []
-        self._other_all = []
-        self._other_hits = []
-        self._rows = {}
-        self.head_ready = _NEVER
-        self.due = 0
-        for entry in entries[: state["num_pending"]]:
-            # Normalize lazily-recorded promotions (a reference-scheduler
-            # checkpoint may not have scanned the flip in yet) so the heap
-            # classification is current from the first pick.
-            if not entry.demand:
-                entry.is_demand_now()
-            self._enqueue(entry)
-            for request in entry.requesters:
-                if request.is_prefetch:
-                    request.dram_entry = entry
-        self._completing = [
-            (done, seq, entries[eid]) for done, seq, eid in state["completing"]
-        ]
-        for _done, _seq, entry in self._completing:
-            entry.owner = self
-        heapq.heapify(self._completing)
-        self._by_line = {line: entries[eid] for line, eid in state["by_line"]}
-        self.bus_busy_until = state["bus_busy_until"]
-        self.next_pick_cycle = state["next_pick_cycle"]
-        if self.l2 is not None and state["l2"] is not None:
-            self.l2.load_state_dict(state["l2"])
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]
-        self.lines_transferred = state["lines_transferred"]
-        self.inter_core_merges = state["inter_core_merges"]
-        self.l2_hits = state["l2_hits"]
-        self.l2_misses = state["l2_misses"]
-
 
 class Dram:
     """The full DRAM subsystem: address mapping plus all channels.
@@ -668,7 +531,7 @@ class Dram:
         self.channels = [DramChannel(i, config) for i in range(config.num_channels)]
         self._lines_per_row = max(1, config.row_bytes // config.line_bytes)
         #: Minimum ``due`` over the channels: :meth:`step` is a no-op
-        #: before it (derived state; 0 after a restore).
+        #: before it (derived state).
         self.due = _NEVER
 
     def map_address(self, line_addr: int) -> Tuple[int, int, int]:
@@ -758,21 +621,6 @@ class Dram:
     @property
     def idle(self) -> bool:
         return all(channel.idle for channel in self.channels)
-
-    def state_dict(self) -> Dict:
-        """Serialize every channel (geometry is rebuilt from config)."""
-        return {"channels": [channel.state_dict() for channel in self.channels]}
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore all channels; advances the completion sequence counter."""
-        self.due = 0
-        max_seq = -1
-        for channel, channel_state in zip(self.channels, state["channels"]):
-            channel.load_state_dict(channel_state, requests)
-            for item in channel_state["completing"]:
-                if item[1] > max_seq:
-                    max_seq = item[1]
-        advance_seq(max_seq)
 
     @property
     def total_lines_transferred(self) -> int:

@@ -14,16 +14,12 @@ Every abnormal simulation outcome is a subclass of
   conservation, retirement accounting, prefetch ledgers; see
   :mod:`repro.sim.invariants`) failed, i.e. the simulator state is
   corrupt and any statistics derived from it are meaningless.
-* :class:`CheckpointError` — a simulator snapshot failed validation on
-  load (see :mod:`repro.sim.checkpoint`); the run falls back to a cold
-  start and the error is recorded so the bad snapshot leaves a trace.
 * :class:`MemoryBudgetExceeded` — the worker's self-monitor (see
   :mod:`repro.harness.supervise`) observed peak RSS above the per-run
-  ``--memory-budget``; a checkpoint is flushed first, so the run can be
-  resumed on a roomier host.
+  ``--memory-budget``; the run fails structurally and is recorded.
 * :class:`WorkerInterrupted` — a graceful-shutdown request reached the
-  worker mid-run; the run checkpointed and bowed out, and a follow-up
-  sweep with the same manifest re-executes (or resumes) it.
+  worker mid-run; the run is abandoned, and a follow-up sweep with the
+  same manifest re-executes it from cycle 0.
 
 Each exception carries a *diagnostic snapshot*: a plain-JSON dict of the
 machine state at failure time (cycle, per-core warp states, queue
@@ -92,31 +88,12 @@ class CycleLimitExceeded(SimulationError):
     kind = "truncated"
 
 
-class CheckpointError(SimulationError):
-    """A simulator checkpoint could not be loaded or validated.
-
-    Raised by :mod:`repro.sim.checkpoint` when a snapshot file is
-    unreadable, structurally invalid, fails its payload digest, or was
-    written for a different schema version / configuration fingerprint.
-    The sweep engine treats it as a *recoverable* condition: the run
-    falls back to a cold start and the error is recorded in the run's
-    failure report so the corrupt snapshot leaves a trace.
-
-    Args:
-        message: Human-readable description of what failed validation.
-        snapshot: Diagnostic context (path, expected/actual digests...).
-    """
-
-    kind = "checkpoint"
-
-
 class MemoryBudgetExceeded(SimulationError):
     """A run's peak RSS crossed its ``--memory-budget``.
 
     Raised by the worker-side :class:`repro.harness.supervise.RunSentinel`
-    *after* flushing a checkpoint (when one is armed), so the partial
-    work survives the structured exit.  Deliberately not a transient
-    failure: re-running the same spec in the same pool would balloon the
+    at the loop-top check that observes the breach; the partial run is
+    discarded.  Deliberately not a transient failure: re-running the same spec in the same pool would balloon the
     same way, so the sweep records it instead of burning retries.
 
     Args:
@@ -131,10 +108,9 @@ class WorkerInterrupted(SimulationError):
     """A graceful-shutdown request interrupted this run mid-flight.
 
     Raised by the worker-side run sentinel once the process-wide
-    shutdown flag (first SIGTERM/SIGINT) is observed, after flushing a
-    checkpoint when one is armed.  The sweep engine drops the run
-    unrecorded — it is *pending*, not failed — so resuming with the same
-    manifest re-executes it.
+    shutdown flag (first SIGTERM/SIGINT) is observed.  The sweep engine
+    drops the run unrecorded — it is *pending*, not failed — so resuming
+    with the same manifest re-executes it from cycle 0.
 
     Args:
         message: Human-readable description with the interrupted cycle.

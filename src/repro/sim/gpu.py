@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine
 from repro.sim.config import GpuConfig
 from repro.sim.core import Block, Core
 from repro.sim.dram import Dram
-from repro.sim.memory_request import MemoryRequest, advance_request_ids
-from repro.sim.warp import Warp
 from repro.sim.errors import CycleLimitExceeded, DeadlockError
 from repro.sim.interconnect import Interconnect
 from repro.sim.invariants import (
@@ -128,31 +126,18 @@ class GpuSimulator:
             for core in self.cores:
                 core.profiler = profiler
         #: Telemetry hook: when set, the main loop calls
-        #: ``metrics.sample(self)`` at the same safe loop-top point as
-        #: the checkpoint hook (and *before* it, so a snapshot taken at
-        #: the same boundary carries the post-sample recorder state), on
-        #: the recorder's own cycle cadence.  Unlike the checkpoint and
-        #: supervision hooks this IS serialized into snapshots — the
-        #: window series of a resumed run must continue bit-identically.
+        #: ``metrics.sample(self)`` at the top of the first iteration at
+        #: or past each of the recorder's cycle boundaries — the one
+        #: point in the loop where the machine state is self-consistent.
         self.metrics = metrics
-        #: Checkpoint hook: when ``checkpoint_write`` is set and
-        #: ``checkpoint_interval`` > 0, the main loop calls
-        #: ``checkpoint_write(self)`` at the top of the first iteration at
-        #: or past each interval boundary — the one point in the loop
-        #: where the machine state is self-consistent and a resumed run
-        #: replays the remaining iterations identically.
-        self.checkpoint_interval = 0
-        self.checkpoint_write: Optional[Callable[["GpuSimulator"], object]] = None
         #: Supervision hook: when ``supervision_hook`` is set and
         #: ``supervision_interval`` > 0, the main loop calls
-        #: ``supervision_hook(self)`` at the same safe loop-top point as
-        #: the checkpoint hook, on a (much finer) cycle cadence.  The
-        #: worker sentinel (:mod:`repro.harness.supervise`) uses it to
-        #: emit liveness heartbeats and enforce memory budgets and
-        #: shutdown requests; the hook may raise a structured
+        #: ``supervision_hook(self)`` at the same loop-top point as the
+        #: telemetry hook, on its own cycle cadence.  The worker
+        #: sentinel (:mod:`repro.harness.supervise`) uses it to emit
+        #: liveness heartbeats and enforce memory budgets and shutdown
+        #: requests; the hook may raise a structured
         #: :class:`~repro.sim.errors.SimulationError` to end the run.
-        #: Like the checkpoint hook, it is runtime plumbing and is never
-        #: serialized into snapshots.
         self.supervision_interval = 0
         self.supervision_hook: Optional[Callable[["GpuSimulator"], object]] = None
 
@@ -248,23 +233,7 @@ class GpuSimulator:
             prof.start()
 
         rec = self.metrics
-        if rec is not None:
-            # The recorder owns its next boundary (serialized state):
-            # recomputing it here would re-sample a resumed run's
-            # checkpoint cycle and fork the window series.
-            next_sample = rec.next_sample_cycle
-        else:
-            next_sample = 0
-
-        ckpt_write = self.checkpoint_write
-        ckpt_interval = self.checkpoint_interval
-        if ckpt_write is not None and ckpt_interval > 0:
-            # First boundary strictly past the current cycle, so a run
-            # resumed from a checkpoint does not immediately re-write it.
-            next_checkpoint = (cycle // ckpt_interval + 1) * ckpt_interval
-        else:
-            ckpt_write = None
-            next_checkpoint = 0
+        next_sample = rec.next_sample_cycle if rec is not None else 0
 
         sup_hook = self.supervision_hook
         sup_interval = self.supervision_interval
@@ -278,19 +247,13 @@ class GpuSimulator:
             if rec is not None and cycle >= next_sample:
                 # Fires at the first loop-top at or past the boundary
                 # (the event loop may have skipped the boundary cycle
-                # itself); the window records its exact span.  Runs
-                # before the checkpoint hook so a snapshot taken at this
-                # same loop-top already contains this sample.
+                # itself); the window records its exact span.
                 self.cycle = cycle
                 rec.sample(self)
                 next_sample = rec.next_sample_cycle
-            if ckpt_write is not None and cycle >= next_checkpoint:
-                self.cycle = cycle
-                ckpt_write(self)
-                next_checkpoint = (cycle // ckpt_interval + 1) * ckpt_interval
             if sup_hook is not None and cycle >= next_supervision:
-                # self.cycle is synced first so a checkpoint flushed from
-                # inside the hook snapshots the loop-top state exactly.
+                # self.cycle is synced first so the hook reports (and a
+                # structured raise from it carries) the loop-top cycle.
                 self.cycle = cycle
                 sup_hook(self)
                 next_supervision = (cycle // sup_interval + 1) * sup_interval
@@ -495,125 +458,6 @@ class GpuSimulator:
         return all(not q for q in self._block_queues) and all(
             core.drained for core in self.cores
         )
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> Dict:
-        """Serialize the machine's full dynamic state to plain-JSON types.
-
-        In-flight :class:`~repro.sim.memory_request.MemoryRequest` objects
-        are shared by reference between MRQs, the interconnect's heaps and
-        DRAM buffer entries (merging and late-prefetch promotion depend on
-        that sharing), so they are collected once into a rid-keyed
-        registry here and referenced by rid everywhere else.  Static state
-        — the config, prefetcher construction parameters, instruction
-        streams — is *not* stored; the restore path rebuilds it
-        deterministically from the run spec (see
-        :mod:`repro.sim.checkpoint`).
-        """
-        requests: Dict[int, MemoryRequest] = {}
-        for core in self.cores:
-            for request in core.mrq._entries.values():
-                requests.setdefault(request.rid, request)
-            for request in core.mrq._send_queue:
-                requests.setdefault(request.rid, request)
-        for item in self.interconnect._to_memory:
-            requests.setdefault(item[2].rid, item[2])
-        for item in self.interconnect._to_core:
-            requests.setdefault(item[3].rid, item[3])
-        for channel in self.dram.channels:
-            for entry in channel.pending.values():
-                for request in entry.requesters:
-                    requests.setdefault(request.rid, request)
-            for _done, _seq, entry in channel._completing:
-                for request in entry.requesters:
-                    requests.setdefault(request.rid, request)
-        return {
-            "cycle": self.cycle,
-            "requests": [requests[rid].state_dict() for rid in sorted(requests)],
-            "cores": [core.state_dict() for core in self.cores],
-            "interconnect": self.interconnect.state_dict(),
-            "dram": self.dram.state_dict(),
-            "block_queues": [
-                [block[0] for block in queue] for queue in self._block_queues
-            ],
-            "invariants": (
-                self.invariants.state_dict() if self.invariants is not None else None
-            ),
-            "profiler": (
-                self.profiler.state_dict() if self.profiler is not None else None
-            ),
-            "metrics": (
-                self.metrics.state_dict() if self.metrics is not None else None
-            ),
-        }
-
-    def load_state_dict(self, state: Dict, blocks: Sequence[Block]) -> None:
-        """Restore from :meth:`state_dict` output.
-
-        Args:
-            state: A ``state_dict()`` payload (typically the ``payload``
-                of a validated checkpoint envelope).
-            blocks: The kernel's thread blocks, regenerated
-                deterministically from the same spec that produced the
-                checkpointed run (block and warp ids are globally unique
-                and stable across regenerations).
-
-        The simulator must have been built with the same config and
-        prefetcher factory as the checkpointed one; resuming then
-        replays the remaining loop iterations bit-identically.
-        """
-        blocks_by_id = {block[0]: block for block in blocks}
-        streams = {
-            warp_id: stream
-            for block in blocks
-            for warp_id, stream in block[1]
-        }
-        requests: Dict[int, MemoryRequest] = {}
-        for request_state in state["requests"]:
-            request = MemoryRequest.from_state(request_state)
-            requests[request.rid] = request
-        advance_request_ids(max(requests, default=-1))
-        warps_by_core: List[Dict[int, Warp]] = []
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.load_state_dict(core_state, requests, streams)
-            warps_by_core.append({warp.warp_id: warp for warp in core.warps})
-        # Resolve request waiters: each serialized [warp_id, token] pair
-        # points at a warp resident on the request's core.  A warp can
-        # retire while a (now-moot) prefetch it once waited on is still in
-        # flight; such waiters get an inert placeholder warp whose
-        # line_complete() has no effect on stats.
-        placeholders: List[Dict[int, Warp]] = [{} for _ in self.cores]
-        for request_state in state["requests"]:
-            request = requests[request_state["rid"]]
-            resident = warps_by_core[request.core_id]
-            orphans = placeholders[request.core_id]
-            for warp_id, token in request_state["waiters"]:
-                warp = resident.get(warp_id)
-                if warp is None:
-                    warp = orphans.get(warp_id)
-                    if warp is None:
-                        warp = Warp(warp_id, -1, [])
-                        orphans[warp_id] = warp
-                request.waiters.append((warp, token))
-        self.interconnect.load_state_dict(state["interconnect"], requests)
-        self.dram.load_state_dict(state["dram"], requests)
-        self._block_queues = [
-            deque(blocks_by_id[block_id] for block_id in queue)
-            for queue in state["block_queues"]
-        ]
-        self.cycle = state["cycle"]
-        if self.invariants is not None and state["invariants"] is not None:
-            self.invariants.load_state_dict(state["invariants"])
-        if self.profiler is not None and state["profiler"] is not None:
-            self.profiler.load_state_dict(state["profiler"])
-        # .get: snapshots written before the telemetry PR lack the key;
-        # a recorder attached to such a resume simply starts fresh.
-        metrics_state = state.get("metrics")
-        if self.metrics is not None and metrics_state is not None:
-            self.metrics.load_state_dict(metrics_state)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -197,37 +197,13 @@ class InvariantChecker:
     # -- scheduling ----------------------------------------------------
 
     def maybe_check(self, cycle: int) -> None:
-        """Run one check pass if ``cycle`` crossed the next checkpoint."""
+        """Run one check pass if ``cycle`` crossed the next check boundary."""
         if cycle < self.next_check_cycle:
             return
         while self.next_check_cycle <= cycle:
             self.next_check_cycle += self.interval
         self.check(cycle)
         self._watchdog(cycle)
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> Dict:
-        """Serialize scheduling and watchdog state.
-
-        Restoring it makes a resumed run check (and watchdog-trip) at the
-        same simulated cycles an uninterrupted run would.
-        """
-        return {
-            "next_check_cycle": self.next_check_cycle,
-            "checks": self.checks,
-            "violations_found": self.violations_found,
-            "last_activity": self._last_activity,
-            "last_activity_cycle": self._last_activity_cycle,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.next_check_cycle = state["next_check_cycle"]
-        self.checks = state["checks"]
-        self.violations_found = state["violations_found"]
-        self._last_activity = state["last_activity"]
-        self._last_activity_cycle = state["last_activity_cycle"]
 
     # -- activity watchdog ---------------------------------------------
 

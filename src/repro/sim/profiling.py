@@ -174,40 +174,9 @@ class SimProfiler:
         The write is atomic (temp file + ``os.replace``, the result-cache
         pattern) so a crash mid-write can never leave a torn profile.
         """
-        from repro.sim.checkpoint import atomic_write_json
+        from repro.sim.durable import atomic_write_json
 
         return atomic_write_json(path, self.to_dict(), indent=2)
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialize accumulated counters for a simulator checkpoint.
-
-        Wall times restored into a resumed run make the final profile
-        cumulative across the interrupted and resuming processes.
-        """
-        return {
-            "wall": dict(self.wall),
-            "active_cycles": dict(self.active_cycles),
-            "counts": dict(self.counts),
-            "loop_iterations": self.loop_iterations,
-            "cycles": self.cycles,
-            "wall_seconds": self.wall_seconds,
-            "benchmark": self.benchmark,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.wall = {phase: 0.0 for phase in PHASES}
-        self.wall.update(state["wall"])
-        self.active_cycles = {c: 0 for c in COMPONENTS}
-        self.active_cycles.update(state["active_cycles"])
-        # Merge over defaults so snapshots written before a counter was
-        # introduced restore with that counter at zero.
-        self.counts = {name: 0 for name in COUNTERS}
-        self.counts.update(state["counts"])
-        self.loop_iterations = state["loop_iterations"]
-        self.cycles = state["cycles"]
-        self.wall_seconds = state["wall_seconds"]
-        self.benchmark = state["benchmark"]
 
     def summary(self) -> str:
         """One-paragraph human-readable profile summary (CLI output)."""

@@ -12,8 +12,7 @@ samples a fixed schema of counters on a nominal cadence of
 ``interval`` simulated cycles (default :data:`DEFAULT_METRICS_INTERVAL`)
 and folds each sample into a bounded ring of *window* records.
 
-Sampling rides the same safe loop-top hook point as checkpointing: the
-recorder fires at the top of the first loop iteration at or past each
+Sampling rides the simulator's loop-top hook point: the recorder fires at the top of the first loop iteration at or past each
 interval boundary.  The event-accelerated loop only iterates on eventful
 cycles, so a window's actual span can exceed the nominal interval; every
 window therefore records its exact ``[start, end)`` cycle range.
@@ -47,13 +46,6 @@ window is dropped and ``windows_dropped`` is incremented.  Running totals
 are cumulative snapshots, so they stay exact no matter how many windows
 age out.
 
-The recorder serializes into simulator checkpoints
-(:meth:`MetricsRecorder.state_dict` rides inside
-``GpuSimulator.state_dict()``), and ``next_sample_cycle`` is part of that
-state — a killed-and-resumed run replays its remaining samples at the
-same cycles with the same deltas, producing a bit-identical window
-series.
-
 Typical use::
 
     recorder = MetricsRecorder(interval=1000)
@@ -64,7 +56,7 @@ Typical use::
 
 or, from the CLI, ``python -m repro run monte --metrics-dir DIR`` (every
 executed run writes ``<benchmark>-<fingerprint[:12]>.metrics.json`` into
-DIR, the same key prefix as cached results, profiles and checkpoints),
+DIR, the same key prefix as cached results, and profiles),
 then ``python -m repro report DIR/monte-<fp>.metrics.json`` to render the
 document.  See OBSERVABILITY.md for how the three observer layers fit
 together.
@@ -147,8 +139,7 @@ class MetricsRecorder:
     """Bounded ring of windowed machine metrics for one simulator run.
 
     One recorder instruments one :class:`~repro.sim.gpu.GpuSimulator`
-    run (or one checkpointed run across its interrupted and resumed
-    processes).  The simulator drives it: the main loop calls
+    run.  The simulator drives it: the main loop calls
     :meth:`sample` at the top of the first iteration at or past
     :attr:`next_sample_cycle`, and :meth:`finish` once the run
     completes, which closes the final (possibly partial) window so the
@@ -321,10 +312,7 @@ class MetricsRecorder:
         Called by the main loop at the top of the first iteration at or
         past :attr:`next_sample_cycle` (``sim.cycle`` is synced first).
         Advances :attr:`next_sample_cycle` to the next interval boundary
-        strictly past the current cycle; that successor is serialized
-        state, which is what keeps a resumed run's sample cycles — and
-        therefore its window series — bit-identical to an uninterrupted
-        one.
+        strictly past the current cycle.
         """
         cycle = sim.cycle
         self.num_cores = sim.config.num_cores
@@ -376,51 +364,9 @@ class MetricsRecorder:
         The write is atomic (temp file + ``os.replace``, the result-cache
         pattern) so a crash mid-write can never leave a torn document.
         """
-        from repro.sim.checkpoint import atomic_write_json
+        from repro.sim.durable import atomic_write_json
 
         return atomic_write_json(path, self.to_dict(), indent=2)
-
-    # -- checkpoint integration ----------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialize recorder state for a simulator checkpoint.
-
-        Everything needed for a bit-identical resumed series rides here:
-        the window ring, the previous cumulative snapshot the next delta
-        is taken against, and the already-advanced
-        :attr:`next_sample_cycle` (recomputing it from the resume cycle
-        would re-sample the checkpoint boundary and fork the series).
-        """
-        return {
-            "interval": self.interval,
-            "max_windows": self.max_windows,
-            "windows": list(self.windows),
-            "windows_dropped": self.windows_dropped,
-            "windows_emitted": self.windows_emitted,
-            "next_sample_cycle": self.next_sample_cycle,
-            "benchmark": self.benchmark,
-            "fingerprint": self.fingerprint,
-            "cycles": self.cycles,
-            "num_cores": self.num_cores,
-            "prev": dict(self._prev),
-            "prev_cycle": self._prev_cycle,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.interval = state["interval"]
-        self.max_windows = state["max_windows"]
-        self.windows = deque(state["windows"])
-        self.windows_dropped = state["windows_dropped"]
-        self.windows_emitted = state["windows_emitted"]
-        self.next_sample_cycle = state["next_sample_cycle"]
-        self.benchmark = state["benchmark"]
-        self.fingerprint = state["fingerprint"]
-        self.cycles = state["cycles"]
-        self.num_cores = state["num_cores"]
-        self._prev = {name: 0 for name in COUNTERS}
-        self._prev.update(state["prev"])
-        self._prev_cycle = state["prev_cycle"]
 
 
 def validate_metrics_document(doc: object) -> Dict[str, object]:

@@ -147,30 +147,3 @@ class TestDegreeHistoryCap:
         assert pref.degree_min == 1
         assert pref.degree_max == 4
         assert pref.degree_updates == DEGREE_HISTORY_CAP + 13
-
-    def test_state_dict_round_trips_history_and_cap(self):
-        pref = FeedbackGhbPrefetcher()
-        for accuracy in (0.9, 0.9, 0.1, 0.9):
-            pref.periodic_update({"issued": 100.0, "accuracy": accuracy})
-        state = pref.state_dict()
-        assert state["degree_history_cap"] == pref.degree_history.maxlen
-        clone = FeedbackGhbPrefetcher()
-        clone.load_state_dict(state)
-        assert list(clone.degree_history) == list(pref.degree_history)
-        assert clone.degree_history.maxlen == pref.degree_history.maxlen
-        assert clone.degree_updates == pref.degree_updates
-        assert clone.degree_min == pref.degree_min
-        assert clone.degree_max == pref.degree_max
-        assert clone.state_dict() == state
-
-    def test_restored_history_keeps_enforcing_the_cap(self):
-        from repro.core.feedback import DEGREE_HISTORY_CAP
-
-        pref = FeedbackGhbPrefetcher()
-        for _ in range(5):
-            pref.periodic_update({"issued": 100.0, "accuracy": 0.9})
-        clone = FeedbackGhbPrefetcher()
-        clone.load_state_dict(pref.state_dict())
-        for _ in range(DEGREE_HISTORY_CAP * 2):
-            clone.periodic_update({"issued": 100.0, "accuracy": 0.9})
-        assert len(clone.degree_history) == DEGREE_HISTORY_CAP

@@ -169,60 +169,6 @@ class TestSelfCorrection:
         engine.update(window())
         assert engine.next_update_cycle == 2000
 
-
-class TestStateRoundTrip:
-    """Checkpoint/restore of the throttle engine, including mid-period.
-
-    A snapshot can land anywhere inside a throttling period — partway
-    through the modular drop window, with Eq. 7/8 metrics from earlier
-    periods live — and the restored engine must make bit-identical
-    decisions from that point on.
-    """
-
-    def drive(self, engine, plan):
-        """Apply a decision plan; returns the allow/deny trace."""
-        trace = []
-        for kind, payload in plan:
-            if kind == "allow":
-                trace.extend(engine.allow_prefetch() for _ in range(payload))
-            else:
-                engine.update(payload)
-        return trace
-
-    def test_restore_mid_period_is_bit_identical(self):
-        prefix = [
-            ("allow", 7),           # partway through a drop window
-            ("update", window(early=20, useful=100, merges=50)),
-            ("allow", 3),           # mid-window again: counter matters
-        ]
-        suffix = [
-            ("allow", 11),
-            ("update", window(early=0, useful=100, merges=50, requests=100)),
-            ("allow", 9),
-        ]
-        straight = make_engine()
-        self.drive(straight, prefix)
-        expected = self.drive(straight, suffix)
-
-        interrupted = make_engine()
-        self.drive(interrupted, prefix)
-        state = interrupted.state_dict()
-        resumed = make_engine()          # fresh engine, same config
-        resumed.load_state_dict(state)
-        assert resumed.state_dict() == state
-        assert self.drive(resumed, suffix) == expected
-        assert resumed.state_dict() == straight.state_dict()
-
-    def test_restore_preserves_infinite_eviction_rate(self):
-        """Eq. 5 legitimately yields inf (evictions with zero useful);
-        the round trip must not flatten it."""
-        engine = make_engine()
-        engine.update(window(early=3, useful=0))
-        assert engine.early_eviction_rate == float("inf")
-        resumed = make_engine()
-        resumed.load_state_dict(engine.state_dict())
-        assert resumed.early_eviction_rate == float("inf")
-
     def test_update_fast_forwards_past_stale_boundaries(self):
         """An external caller driving sparse cycles must never be left
         with next_update_cycle in the past (a re-update storm)."""

@@ -25,17 +25,6 @@ can assert exact retry counts regardless of which process ran the spec.
 clobbers an on-disk :class:`~repro.harness.sweep.ResultCache` entry in
 one of several realistic ways (truncated JSON, schema-version mismatch,
 torn binary write) which the cache must treat as a miss, never a crash.
-:func:`corrupt_checkpoint` does the same for simulator snapshots, which
-:func:`repro.sim.checkpoint.load_checkpoint` must reject with a
-structured :class:`~repro.sim.errors.CheckpointError` — never load
-silently and never crash the worker.  :func:`checkpointing_crash_worker`
-combines the two layers: its first attempt dies right after leaving a
-genuine mid-run snapshot behind (what a crashed checkpointing worker
-leaves on disk), and later attempts run the real
-:func:`~repro.harness.runner.run_spec`, which must resume from it.
-:func:`sigkill_after_snapshot` is the hardest variant — it SIGKILLs its
-own process right after the snapshot lands, so it must only ever run in
-a dedicated subprocess.
 
 The supervised-runtime additions cover the four mechanisms of
 ``repro.harness.supervise``: :func:`wedge_worker` and
@@ -214,179 +203,6 @@ def corrupt_cache_entry(cache: ResultCache, key: str, mode: str) -> Path:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint corruption and crash-resume
-# ----------------------------------------------------------------------
-
-CHECKPOINT_CORRUPTION_MODES = (
-    "truncated-json", "torn-binary", "wrong-shape", "missing-fields",
-    "schema-mismatch", "digest-mismatch", "fingerprint-mismatch",
-)
-
-
-def corrupt_checkpoint(path, mode: str) -> Path:
-    """Clobber (or fabricate) a checkpoint file at ``path`` realistically.
-
-    Modes beyond the cache-style ones: ``missing-fields`` drops envelope
-    keys, ``digest-mismatch`` tampers with a structurally valid
-    envelope's payload after digesting (a bit-flip in flight), and
-    ``fingerprint-mismatch`` is a *perfectly valid* snapshot of some
-    other run — the subtlest case, rejectable only via the fingerprint.
-
-    Returns the path that was written.
-    """
-    from repro.sim.checkpoint import CHECKPOINT_SCHEMA, payload_digest
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    valid_payload = {"cycle": 7, "cores": []}
-    envelope = {
-        "schema": CHECKPOINT_SCHEMA,
-        "fingerprint": "someone-elses-run",
-        "config_sha256": "0" * 64,
-        "cycle": 7,
-        "payload": valid_payload,
-        "payload_sha256": payload_digest(valid_payload),
-    }
-    if mode == "truncated-json":
-        full = json.dumps(envelope)
-        path.write_text(full[: len(full) // 2], encoding="utf-8")
-    elif mode == "torn-binary":
-        path.write_bytes(b"\x00\xff\xfe{torn" + os.urandom(16))
-    elif mode == "wrong-shape":
-        path.write_text(json.dumps(["not", "an", "envelope"]),
-                        encoding="utf-8")
-    elif mode == "missing-fields":
-        path.write_text(json.dumps({"schema": CHECKPOINT_SCHEMA}),
-                        encoding="utf-8")
-    elif mode == "schema-mismatch":
-        envelope["schema"] = 999
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-    elif mode == "digest-mismatch":
-        envelope["payload"] = {"cycle": 8, "cores": []}  # post-digest tamper
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-    elif mode == "fingerprint-mismatch":
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-    else:  # pragma: no cover - guard against typo'd parametrization
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    return path
-
-
-def _build_sim_for(spec):
-    """Build and load a simulator for ``spec`` exactly as ``run_spec`` would."""
-    import dataclasses
-
-    from repro.harness.runner import HARDWARE_SCHEMES
-    from repro.sim.gpu import GpuSimulator
-    from repro.trace.benchmarks import get_benchmark
-    from repro.trace.tracegen import generate_workload
-
-    cfg = spec.config
-    if spec.perfect_memory:
-        cfg = cfg.replace(perfect_memory=True)
-    if spec.throttle != cfg.throttle.enabled:
-        cfg = cfg.replace(
-            throttle=dataclasses.replace(cfg.throttle, enabled=spec.throttle)
-        )
-    builder = HARDWARE_SCHEMES[spec.hardware]
-    factory = (
-        (lambda core_id: builder(spec.distance, spec.degree))
-        if builder is not None else None
-    )
-    kernel = get_benchmark(spec.benchmark, scale=spec.scale)
-    workload = generate_workload(kernel, swp=spec.software)
-    sim = GpuSimulator(cfg, factory)
-    sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-    return sim
-
-
-def write_midrun_checkpoint(spec, path) -> int:
-    """Leave behind exactly what a crashed checkpointing worker would.
-
-    Simulates ``spec`` until the first auto-snapshot lands at ``path``
-    (tagged with the spec's sweep fingerprint, as ``run_spec`` tags it),
-    then abandons the simulation — the on-disk state a worker killed
-    right after its first checkpoint leaves.  Returns the snapshot cycle.
-    """
-    from repro.sim.checkpoint import write_checkpoint
-
-    sim = _build_sim_for(spec)
-
-    class _Abandon(Exception):
-        pass
-
-    snapshot_cycle = []
-
-    def crash_after_snapshot(s):
-        write_checkpoint(path, s, fingerprint=fingerprint(spec))
-        snapshot_cycle.append(s.cycle)
-        raise _Abandon
-
-    sim.checkpoint_interval = 500
-    sim.checkpoint_write = crash_after_snapshot
-    try:
-        sim.run()
-    except _Abandon:
-        pass
-    return snapshot_cycle[0]
-
-
-def sigkill_after_snapshot(spec, directory) -> None:
-    """Auto-checkpoint a run of ``spec`` and SIGKILL right afterwards.
-
-    **Subprocess use only** — this kills the calling process dead, with
-    no cleanup, exactly like the OOM killer or a pulled plug.  The
-    snapshot lands at the spec's canonical location under checkpoint
-    ``directory`` first, so what the parent test finds on disk is a
-    genuine artifact of a hard-killed process (written, synced via
-    ``os.replace``, then orphaned), not a simulated crash.
-    """
-    import signal
-
-    from repro.harness.runner import checkpoint_path_for
-    from repro.sim.checkpoint import write_checkpoint
-
-    path = checkpoint_path_for(spec, directory)
-    sim = _build_sim_for(spec)
-
-    def write_and_die(s):
-        write_checkpoint(path, s, fingerprint=fingerprint(spec))
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    sim.checkpoint_interval = 500
-    sim.checkpoint_write = write_and_die
-    sim.run(strict=True)
-    raise RuntimeError(
-        "unreachable: the process should have died at its first snapshot"
-    )
-
-
-def checkpointing_crash_worker(spec, options) -> SimStats:
-    """Die transiently after leaving a genuine mid-run snapshot, once.
-
-    Attempt 1 writes a real auto-checkpoint to the spec's canonical
-    location under ``options.checkpoint_dir`` and raises ``OSError`` —
-    the crash-after-first-snapshot scenario.  Every later attempt runs
-    the real :func:`~repro.harness.runner.run_spec`, which must find the
-    snapshot and resume from it (asserted by the caller via the
-    resumed-run profile and bit-identical stats).
-    """
-    from repro.harness.runner import checkpoint_path_for, run_spec
-
-    attempt = record_attempt(spec)
-    directory = options.checkpoint_dir
-    if directory is None:
-        raise RuntimeError(
-            "checkpointing_crash_worker needs options.checkpoint_dir"
-        )
-    if attempt == 1:
-        cycle = write_midrun_checkpoint(spec, checkpoint_path_for(spec, directory))
-        raise OSError(
-            f"injected crash right after the cycle-{cycle} snapshot"
-        )
-    return run_spec(spec, options=options).stats
-
-
-# ----------------------------------------------------------------------
 # Supervised-runtime faults: wedges, memory pressure, disk pressure,
 # poison specs, and a SIGTERM-able subprocess sweep driver
 # ----------------------------------------------------------------------
@@ -478,8 +294,7 @@ def rss_balloon_worker(spec, options) -> SimStats:
 
     The allocation happens *before* the simulation starts, so the run's
     first supervision tick observes the inflated peak RSS and the
-    sentinel raises :class:`~repro.sim.errors.MemoryBudgetExceeded`
-    (after flushing a checkpoint, when checkpointing is attached).
+    sentinel raises :class:`~repro.sim.errors.MemoryBudgetExceeded`.
     """
     from repro.harness.runner import run_spec
 

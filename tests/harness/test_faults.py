@@ -3,7 +3,7 @@
 Exercises the acceptance scenarios of the simulation integrity layer:
 retry-then-success for transient worker crashes, no retry for
 deterministic simulation failures, per-run deadlines that condemn only
-the stalled run, checkpoint-manifest resume, failure budgets, and
+the stalled run, manifest resume and durability, failure budgets, and
 truncated runs surfacing as structured failures instead of silently
 polluting results.  All injected faults come from the deterministic
 harness in :mod:`tests.harness.faults`.
@@ -123,6 +123,20 @@ class TestPerRunDeadline:
         assert fast_outcome.stats.benchmark == "cell"
         assert engine.failures == 1 and engine.simulated == 1
 
+    def test_deadline_miss_fails_without_retry(self, fault_dir):
+        """A stalled run is abandoned at its deadline, not re-queued:
+        a fresh attempt would restart from cycle 0 and stall again."""
+        stalled = spec_for("monte")
+        healthy = spec_for("cell")
+        engine = SweepEngine(jobs=2, timeout=0.4,
+                             worker=faults.selectively_slow_worker,
+                             retries=1, retry_backoff=0.0)
+        slow, _fast = engine.run([stalled, healthy])
+        assert isinstance(slow, RunFailure)
+        assert slow.kind == "timeout"
+        assert slow.attempts == 1
+        assert engine.retried == 0
+
 
 class TestTruncationSurfacing:
     def test_truncated_stats_become_failures_and_are_not_cached(
@@ -235,6 +249,46 @@ class TestManifestResume:
                           "stats": {"cycles": 3}})
         records = manifest.load()
         assert records["k"]["status"] == "done"
+
+
+class TestManifestDurability:
+    def test_torn_final_line_only_costs_that_line(self, tmp_path):
+        """A write torn mid-record — even mid-UTF-8-character — is skipped.
+
+        Everything fsync'd before the tear must load; the torn tail must
+        not take the journal down with a decode or parse error.
+        """
+        manifest = SweepManifest(tmp_path / "sweep.jsonl")
+        manifest._append({"key": "run-a", "status": "done", "cycles": 1})
+        manifest._append({"key": "run-b", "status": "failed", "kind": "timeout"})
+        # Tear 1: a record cut mid-way through a multi-byte UTF-8
+        # character (U+00E9 is 0xC3 0xA9; keep only the lead byte).
+        torn = json.dumps({"key": "run-café", "status": "done"},
+                          ensure_ascii=False)
+        torn_bytes = torn.encode("utf-8")
+        cut = torn_bytes[: torn_bytes.index(b"\xc3") + 1]
+        with open(manifest.path, "ab") as fh:
+            fh.write(cut)
+        entries = manifest.load()
+        assert set(entries) == {"run-a", "run-b"}
+        assert entries["run-a"]["status"] == "done"
+        assert entries["run-b"]["kind"] == "timeout"
+
+    def test_torn_plain_ascii_line_is_skipped(self, tmp_path):
+        manifest = SweepManifest(tmp_path / "sweep.jsonl")
+        manifest._append({"key": "run-a", "status": "done"})
+        with open(manifest.path, "ab") as fh:
+            fh.write(b'{"key": "run-b", "sta')
+        assert set(manifest.load()) == {"run-a"}
+
+    def test_appends_reach_stable_storage(self, tmp_path):
+        """Records survive being read back through a raw byte view —
+        i.e. the append really hit the file, not a userspace buffer."""
+        manifest = SweepManifest(tmp_path / "sweep.jsonl")
+        manifest._append({"key": "run-a", "status": "done"})
+        raw = manifest.path.read_bytes()
+        assert raw.endswith(b"\n")
+        assert json.loads(raw)["key"] == "run-a"
 
 
 class TestFailureReports:

@@ -1,10 +1,9 @@
 """Artifact-auditor suite: classification matrix, repair, gc, exit codes.
 
-Builds a little artifact zoo — real cache entries, checkpoints written
-by the actual checkpoint machinery, metrics documents emitted by a real
-run, manifests, leases, heartbeats, scratch temps — plants known damage
-in it, and pins :func:`repro.harness.fsck.audit`'s verdict for every
-file.  The CLI half pins the satellite contract: ``repro fsck`` exits 1
+Builds a little artifact zoo — real cache entries, metrics documents
+emitted by a real run, manifests, leases, heartbeats, scratch temps —
+plants known damage in it, and pins :func:`repro.harness.fsck.audit`'s
+verdict for every file.  The CLI half pins the contract: ``repro fsck`` exits 1
 when corruption was found, and 0 after a successful ``--repair``.
 """
 
@@ -73,26 +72,6 @@ class TestClassificationMatrix:
         }), encoding="utf-8")
         report = audit([tmp_path])
         assert _status_of(report, path) == "corrupt"
-
-    def test_checkpoint_valid_stale_and_corrupt(self, tmp_path):
-        spec = make_spec("monte", scale=SCALE)
-        key = fingerprint(spec)
-        live = tmp_path / "ckpt" / f"monte-{key[:12]}.ckpt.json"
-        live.parent.mkdir(parents=True)
-        faults.write_midrun_checkpoint(spec, live)
-        report = audit([tmp_path])
-        assert _status_of(report, live) == "ok"
-
-        # Cache the spec's result: the same snapshot is now superseded.
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(key, spec, SimStats(cycles=9))
-        report = audit([tmp_path])
-        assert _status_of(report, live) == "stale"
-
-        torn = live.with_name(f"cell-{key[:12]}.ckpt.json")
-        torn.write_bytes(live.read_bytes()[:40])
-        report = audit([tmp_path])
-        assert _status_of(report, torn) == "corrupt"
 
     def test_metrics_valid_and_corrupt(self, tmp_path):
         spec = make_spec("monte", scale=SCALE)
@@ -183,7 +162,7 @@ class TestClassificationMatrix:
     def test_classify_routes_by_suffix(self, tmp_path):
         path = tmp_path / "plain.json"
         path.write_text("{}", encoding="utf-8")
-        finding = classify(path, 30.0, set())
+        finding = classify(path, 30.0)
         assert finding.sink == "json" and finding.status == "ok"
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.harness import runner
 from repro.harness.runner import HARDWARE_SCHEMES, _simulate, make_spec
-from repro.sim import checkpoint
 from repro.sim.config import baseline_config
 from repro.sim.errors import CycleLimitExceeded
 from repro.sim.gpu import GpuSimulator
@@ -59,29 +58,18 @@ def simulators(monkeypatch):
 
 @pytest.mark.parametrize("run", golden_runs(), ids=golden_id)
 def test_fully_observed_run_leaves_no_cyclic_garbage(
-    run, simulators, tmp_path, monkeypatch, gc_restored
+    run, simulators, monkeypatch, gc_restored
 ):
-    """With invariants, profiler, metrics and checkpoints attached, a
+    """With invariants, profiler and metrics attached, a
     finished run whose simulator is still referenced leaves nothing for
     the cyclic collector: the pause defers no garbage.  A fresh workload
     memo puts trace generation inside the paused window too."""
     monkeypatch.setattr(runner, "WORKLOAD_MEMO", runner.WorkloadMemo())
-    snapshots = []
-    write = checkpoint.write_checkpoint
-
-    def counting_write(*args, **kwargs):
-        snapshots.append(args[0])
-        return write(*args, **kwargs)
-
-    monkeypatch.setattr(checkpoint, "write_checkpoint", counting_write)
     spec = make_spec(**run["request"])
     observers = dict(
         invariants=True,
         profiler=SimProfiler(),
         metrics=MetricsRecorder(interval=100),
-        checkpoint_path=tmp_path / "run.ckpt.json",
-        checkpoint_interval=800,
-        checkpoint_tag="gc-guard",
     )
     gc.collect()
     gc.disable()
@@ -91,7 +79,6 @@ def test_fully_observed_run_leaves_no_cyclic_garbage(
     [sim] = simulators
     assert sim.invariants.checks >= 2
     assert observers["metrics"].windows
-    assert len(snapshots) >= 2
     assert result.stats.cycles > 0
     assert unreachable == 0
 

@@ -6,11 +6,11 @@ Covers the four mechanisms end to end:
   degradation, and the acceptance scenario: a heartbeat-silent (wedged)
   pool worker is killed and requeued *strictly before* the per-run
   ``timeout`` deadline.
-* **Resource governance** — the worker-side sentinel flushes a
-  checkpoint and raises a picklable ``MemoryBudgetExceeded`` when peak
-  RSS crosses the budget; disk pressure (injected ENOSPC) degrades the
-  result cache, manifest journal, heartbeat sink, and auto-checkpoint
-  closure loudly-but-safely (one warning, counted drops, run survives).
+* **Resource governance** — the worker-side sentinel raises a picklable
+  ``MemoryBudgetExceeded`` when peak RSS crosses the budget; disk
+  pressure (injected ENOSPC) degrades the result cache, manifest
+  journal, and heartbeat sink loudly-but-safely (one warning, counted
+  drops, run survives).
 * **Poison-spec quarantine** — a spec that burns its whole retry budget
   is quarantined without aborting the healthy cells, skipped with zero
   new attempts by later sweeps, and un-poisoned by deleting its report.
@@ -50,7 +50,6 @@ from repro.harness.sweep import (
     fingerprint,
     is_transient_failure,
 )
-from repro.sim.checkpoint import attach_checkpointing
 from repro.sim.errors import (
     MemoryBudgetExceeded,
     SimulationError,
@@ -92,7 +91,6 @@ class _DummySim:
 
     def __init__(self, cycle=4200):
         self.cycle = cycle
-        self.checkpoint_write = None
         self.supervision_interval = 0
         self.supervision_hook = None
 
@@ -188,31 +186,28 @@ class TestRunSentinel:
         assert sim.supervision_interval == supervise.SUPERVISION_HOOK_CYCLES
         assert sim.supervision_hook == sentinel.tick
 
-    def test_budget_breach_flushes_checkpoint_then_raises(self):
+    def test_budget_breach_raises_structured_error(self):
         sim = _DummySim()
-        events = []
-        sim.checkpoint_write = lambda s: events.append(("flush", s.cycle))
         sentinel = supervise.RunSentinel(memory_budget_kb=1)
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             sentinel.tick(sim)
-        assert events == [("flush", 4200)]
         exc = excinfo.value
         assert exc.kind == "memory-budget"
         assert exc.snapshot["cycle"] == 4200
         assert exc.snapshot["peak_rss_kb"] > exc.snapshot["budget_kb"]
 
-    def test_shutdown_request_flushes_checkpoint_then_raises(self):
+    def test_shutdown_request_raises_worker_interrupted(self):
         sim = _DummySim()
-        events = []
-        sim.checkpoint_write = lambda s: events.append("flush")
         sentinel = supervise.RunSentinel(memory_budget_kb=1)
         supervise.request_shutdown()
         # Shutdown outranks the (also-breached) budget: one structured
-        # WorkerInterrupted, checkpoint flushed first.
+        # WorkerInterrupted carrying the interrupted cycle.
         with pytest.raises(WorkerInterrupted) as excinfo:
             sentinel.tick(sim)
-        assert events == ["flush"]
-        assert excinfo.value.kind == "interrupted"
+        exc = excinfo.value
+        assert exc.kind == "interrupted"
+        assert exc.snapshot == {"cycle": 4200, "pid": os.getpid()}
+        assert "cycle 4200" in str(exc)
 
     def test_tick_emits_heartbeats(self, tmp_path):
         sim = _DummySim(cycle=777)
@@ -518,7 +513,7 @@ class TestDiskPressure:
     ):
         manifest = SweepManifest(tmp_path / "sweep.jsonl")
         spec = spec_for("monte")
-        monkeypatch.setattr("repro.harness.sweep.free_bytes", lambda p: 0)
+        monkeypatch.setattr("repro.sim.durable.free_bytes", lambda p: 0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             manifest.record_success(fingerprint(spec), spec,
@@ -535,7 +530,7 @@ class TestDiskPressure:
         self, fault_dir, tmp_path, monkeypatch
     ):
         stream = io.StringIO()
-        monkeypatch.setattr("repro.harness.sweep.free_bytes", lambda p: 0)
+        monkeypatch.setattr("repro.sim.durable.free_bytes", lambda p: 0)
         engine = SweepEngine(
             jobs=1, worker=faults.fast_worker,
             manifest=tmp_path / "sweep.jsonl",
@@ -548,25 +543,6 @@ class TestDiskPressure:
         assert "manifest append(s) dropped" in text
         summary = engine._summary_text()
         assert "2 manifest append(s) dropped" in summary
-
-    def test_auto_checkpoint_disables_on_full_disk_and_run_survives(
-        self, tmp_path, monkeypatch
-    ):
-        spec = spec_for("monte")
-        sim = faults._build_sim_for(spec)
-        destination = tmp_path / "snapshots" / "run.ckpt.json"
-        attach_checkpointing(sim, destination, interval=500,
-                             fingerprint=fingerprint(spec))
-        monkeypatch.setattr("repro.sim.checkpoint.free_bytes", lambda p: 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = sim.run()
-        runtime = [w for w in caught if w.category is RuntimeWarning]
-        assert len(runtime) == 1
-        assert "auto-checkpointing" in str(runtime[0].message)
-        assert "disabled" in str(runtime[0].message)
-        assert not destination.exists()
-        assert stats.cycles > 0 and not stats.truncated
 
 
 # ----------------------------------------------------------------------

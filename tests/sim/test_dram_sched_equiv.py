@@ -24,11 +24,8 @@ equivalence three ways:
 The same traffic scripts also pin the channel's derived wake state, for
 both schedulers: stepping only at cycles where ``due <= cycle`` (as
 ``Dram.step`` does) must complete exactly what stepping every cycle
-does, and a channel checkpointed mid-script must continue identically
-with its hit heaps and ``due`` rebuilt from the restored state.
+does.
 """
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,7 +58,7 @@ def _bank_row(line, banks):
 
 
 def _run_script(events, promos, cfg, decision_check=False,
-                every_cycle=False, gated=False, checkpoint_at=None):
+                every_cycle=False, gated=False):
     """Drive one channel through a traffic script; return its trace.
 
     ``events`` is a list of ``(cycle, line, kind, core)`` arrivals in
@@ -78,16 +75,13 @@ def _run_script(events, promos, cfg, decision_check=False,
     when ``channel.due <= cycle``, and then also checks that
     ``Dram.next_event_cycle``, computed from the channel's cached wake
     state, equals the channel's own ``next_event_cycle`` at every
-    visited cycle.  ``checkpoint_at`` swaps the channel,
-    at the first visited cycle at or past it, for a fresh channel
-    restored from its JSON round-tripped ``state_dict``.
+    visited cycle.
     """
     channel = DramChannel(0, cfg)
     dram = Dram(cfg)
     dram.channels = [channel]
     requests = [_make_request(line, kind, core, cycle)
                 for cycle, line, kind, core in events]
-    by_rid = {request.rid: request for request in requests}
     promo_at = {}  # cycle -> [event index, ...] in index order
     for index, delay in sorted(promos.items()):
         promo_at.setdefault(events[index][0] + delay, []).append(index)
@@ -99,12 +93,6 @@ def _run_script(events, promos, cfg, decision_check=False,
     while cycle <= last_op or not channel.idle:
         guard += 1
         assert guard < 100_000, "channel failed to drain"
-        if checkpoint_at is not None and cycle >= checkpoint_at:
-            state = json.loads(json.dumps(channel.state_dict()))
-            channel = DramChannel(0, cfg)
-            channel.load_state_dict(state, by_rid)
-            dram.channels = [channel]
-            checkpoint_at = None
         while arrivals and arrivals[0][1][0] == cycle:
             index, (_, line, kind, core) = arrivals.pop(0)
             bank, row = _bank_row(line, cfg.banks_per_channel)
@@ -235,26 +223,6 @@ class TestChannelWakeStateProperties:
         assert _run_script(events, promos, cfg, every_cycle=True,
                            gated=True) == every
         assert _run_script(events, promos, cfg, gated=True) == every
-
-    @given(script=_traffic(), reference=st.booleans(),
-           fraction=st.floats(0.0, 1.0))
-    @settings(max_examples=60, deadline=None)
-    def test_checkpoint_mid_script_continues_identically(self, script,
-                                                         reference,
-                                                         fraction):
-        """A restored channel rebuilds its index and ``due`` exactly."""
-        events, promos, banks, demand_priority, pipeline = script
-        cfg = DramConfig(banks_per_channel=banks,
-                         demand_priority=demand_priority,
-                         pipeline_latency=pipeline,
-                         reference_scheduler=reference)
-        last = max([e[0] for e in events]
-                   + [events[i][0] + d for i, d in promos.items()])
-        checkpoint_at = int(fraction * (last + 2 * pipeline + 100))
-        uninterrupted = _run_script(events, promos, cfg, gated=True)
-        resumed = _run_script(events, promos, cfg, gated=True,
-                              checkpoint_at=checkpoint_at)
-        assert resumed == uninterrupted
 
 
 class TestOrderingRules:

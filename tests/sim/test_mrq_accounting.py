@@ -72,18 +72,6 @@ class TestRedundantPrefetchAccounting:
         assert mrq.access_prefetch(64, 0x20, 0, 2) is None
         assert mrq.total_prefetch_dropped_full == 1
 
-    def test_state_dict_round_trips_prefetch_merged(self):
-        mrq = MemoryRequestQueue(0, 4)
-        warp = make_warp()
-        req = mrq.access_demand(0, warp, 1, 0x10, 0, 0)
-        mrq.access_prefetch(0, 0x20, 0, 1)
-        state = mrq.state_dict()
-        assert state["total_prefetch_merged"] == 1
-        clone = MemoryRequestQueue(0, 4)
-        clone.load_state_dict(state, {req.rid: req})
-        assert clone.total_prefetch_merged == 1
-        assert clone.state_dict() == state
-
 
 class TestDemandOnPrefetchSingleCount:
     def test_second_demand_merge_is_demand_on_demand(self):
@@ -258,11 +246,3 @@ class TestBeginLoadChunk:
         warp.begin_load_chunk(3, 0, final=True)
         assert 3 in warp.tokens_done
         assert warp.outstanding_loads() == 0
-
-    def test_line_offset_round_trips_through_state_dict(self):
-        warp = make_warp()
-        warp.line_offset = 17
-        warp.begin_load_chunk(1, 4, final=False)
-        clone = Warp.from_state(warp.state_dict(), [])
-        assert clone.line_offset == 17
-        assert clone.state_dict() == warp.state_dict()

@@ -104,7 +104,7 @@ def test_no_cache_flag_disables_persistence(tmp_path, capsys):
 def test_integrity_flags(tmp_path, monkeypatch, capsys):
     """--invariants reaches pooled sweep workers (their profiles time the
     checker) and the fault-tolerance flags thread through to a working
-    run with a checkpoint manifest."""
+    run with a sweep manifest."""
     monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
     manifest = tmp_path / "sweep.jsonl"
     profiles = tmp_path / "profiles"
@@ -131,23 +131,6 @@ def test_fail_fast_flag_parses(capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_checkpoint_flags_reach_pool_workers(tmp_path, capsys):
-    """--checkpoint-dir/--checkpoint-interval reach pooled sweep workers,
-    and the runs still complete normally."""
-    ckpt = tmp_path / "checkpoints"
-    assert main([
-        "run", "cell", "--hardware", "mt-hwp", "--scale", "0.1",
-        "--jobs", "2",
-        "--checkpoint-dir", str(ckpt), "--checkpoint-interval", "400",
-    ]) == 0
-    assert "speedup" in capsys.readouterr().out
-    # Only a written snapshot creates the directory, and these short
-    # runs would never reach the default 50000-cycle interval.
-    assert ckpt.is_dir()
-    # Completed runs clean their snapshots up.
-    assert not list(ckpt.glob("*.ckpt.json"))
-
-
 def test_sweep_flags_leave_environment_untouched(tmp_path, capsys):
     """Per-run settings travel in RunOptions, never through os.environ."""
     environ = dict(os.environ)
@@ -155,29 +138,10 @@ def test_sweep_flags_leave_environment_untouched(tmp_path, capsys):
         "compare", "cell", "--schemes", "stride_pc", "--scale", "0.1",
         "--invariants", "--profile", str(tmp_path / "profiles"),
         "--metrics-dir", str(tmp_path / "metrics"),
-        "--checkpoint-dir", str(tmp_path / "checkpoints"),
         "--memory-budget", "100000",
     ]) == 0
     assert "speedup" in capsys.readouterr().out
     assert dict(os.environ) == environ
-
-
-def test_resume_from_flag(tmp_path, capsys):
-    """--resume-from consumes a real mid-run snapshot and completes."""
-    from repro.harness.runner import make_spec
-
-    from tests.harness import faults
-
-    snapshot = tmp_path / "cell.ckpt.json"
-    spec = make_spec("cell", software="stride", throttle=True, scale=0.1)
-    cycle = faults.write_midrun_checkpoint(spec, snapshot)
-    assert cycle > 0
-    assert main([
-        "run", "cell", "--software", "stride", "--throttle", "--scale", "0.1",
-        "--resume-from", str(snapshot),
-    ]) == 0
-    assert "speedup" in capsys.readouterr().out
-    assert not snapshot.exists(), "consumed snapshot must be removed"
 
 
 def test_invalid_benchmark_errors():
@@ -190,7 +154,7 @@ def test_invalid_command_exits():
         main(["frobnicate"])
 
 
-@pytest.mark.parametrize("flag", ["--metrics-interval", "--checkpoint-interval"])
+@pytest.mark.parametrize("flag", ["--metrics-interval"])
 def test_non_positive_interval_is_rejected(flag):
     with pytest.raises(SystemExit):
         main(["run", "cell", flag, "0"])
